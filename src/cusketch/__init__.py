@@ -6,7 +6,6 @@ forms for d = m - 1 (`closed_form`), the Monte-Carlo engine and brute-force
 oracle (`simulate`), and a CLI (`cusketch`).
 """
 
-from ._backend import BACKEND
 from .bounds import (
     BoundResult,
     asymptotic_error,
@@ -52,6 +51,9 @@ from .sketch import (
 from .states import StateSpace, enumerate_states, state_space_size
 
 __version__ = "0.1.0"
+
+# The trajectory stepper is pure Python; kept as a name that run records report.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -132,10 +132,8 @@ def _stationary_direct(pt: sp.csr_matrix, n: int) -> np.ndarray:
     return np.asarray(sol)
 
 
-def asymptotic_error_from_kernel(
-    kernel: TransitionKernel, tol: float = 1e-12, max_iters: int = 10**6
-) -> float:
-    pi = stationary(kernel, tol=tol, max_iters=max_iters)
+def asymptotic_error_from_kernel(kernel: TransitionKernel, tol: float = 1e-12) -> float:
+    pi = stationary(kernel, tol=tol)
     return float(pi @ kernel.expected_increment())
 
 

@@ -115,12 +115,6 @@ class BirthDeathSummary:
     g1_lower: float
     g1_upper: float
 
-    def pi(self, f: int) -> float:
-        return bd_limiting(self.m, f)
-
-    def gap_tail(self, g: int) -> float:
-        return bd_gap_tail(self.m, g)
-
 
 def summarize(m: int) -> BirthDeathSummary:
     lower, upper = g1_asymptotic(m)

@@ -1,9 +1,11 @@
 """Seeded Monte-Carlo engine and the exact brute-force oracle.
 
-Trajectories are driven through the backend stepper (compiled when
-available). The estimation error of an absent item is never sampled:
-conditionally on the final counters, its expectation over the item's
-uniformly random d-subset has the exact order-statistic form
+Every trajectory (Monte-Carlo runs, sandwich traces, the worst-case probe
+and the oracle) is driven by one pure-Python stepper, `_run_steps`, which
+applies the CU, LB or UB rule to a list of counters. The estimation error
+of an absent item is never sampled: conditionally on the final counters,
+its expectation over the item's uniformly random d-subset has the exact
+order-statistic form
 
     E[min over a random d-subset] =
         sum_{r=1}^{m-d+1} y_(r) * C(m-r, d-1) / C(m, d)
@@ -29,23 +31,18 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from . import _backend
 from .config import SketchConfig
 from .errors import ConfigurationError, OracleSizeError
-from .sketch import (
-    CappedSketch,
-    IdealHashTable,
-    cu_update,
-    lb_update,
-    ub_update,
-    uniform_select,
-    zero_counters,
-)
+from .sketch import IdealHashTable
 
 GAP_HISTOGRAM_LEVELS = 10
 ORACLE_LEAF_GUARD = 10**6
 
-_VARIANT_CODES = {"cu": _backend.VARIANT_CU, "lb": _backend.VARIANT_LB, "ub": _backend.VARIANT_UB}
+_CU, _LB, _UB = 0, 1, 2
+_VARIANT_CODES = {"cu": _CU, "lb": _LB, "ub": _UB}
+# Steps drawn and decoded at a time: bounds the decoded selections' memory
+# on long trajectories while keeping NumPy's per-call cost negligible.
+_BLOCK_STEPS = 1024
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -144,18 +141,83 @@ def _expected_min_exact(values: Sequence[int], d: int) -> Fraction:
     return Fraction(num, total)
 
 
+def _selections(u: np.ndarray, m: int) -> list[list[int]]:
+    """Decode each row of a (T, d) uniform array into d distinct counter indices.
+
+    Partial Fisher-Yates shuffle, vectorized over the rows, with the index
+    arithmetic of `uniform_select`: row t gives the subset `uniform_select`
+    draws from the same d doubles (unsorted).
+    """
+    T, d = u.shape
+    rows = np.arange(T)
+    pool = np.tile(np.arange(m, dtype=np.int64), (T, 1))
+    for j in range(d):
+        r = j + np.minimum((u[:, j] * (m - j)).astype(np.int64), m - j - 1)
+        picked = pool[rows, r]
+        pool[rows, r] = pool[:, j]
+        pool[:, j] = picked
+    return pool[:, :d].tolist()
+
+
+def _run_steps(
+    values: list[int],
+    selections: Sequence[Sequence[int]],
+    variant: int,
+    g: int,
+    snapshots: np.ndarray | None = None,
+) -> list[int]:
+    """Advance `values` in place, one step per selection; return the gap trace.
+
+    CU increments the selected counters that sit at the selection's minimum.
+    When the gap equals g and only maxima are selected, LB leaves the
+    counters unchanged and UB also lifts every counter at the minimum.
+    The minimum, maximum and count at the minimum are tracked, so a step
+    costs O(d) unless the minimum level empties. If `snapshots` is given,
+    its row t receives the counters after step t.
+    """
+    value_at = values.__getitem__
+    vmin, vmax = min(values), max(values)
+    nmin = values.count(vmin)
+    gaps = []
+    for t, sel in enumerate(selections):
+        sel_min = min(map(value_at, sel))
+        at_cap = variant != _CU and vmax - vmin == g and sel_min == vmax
+        if not (at_cap and variant == _LB):
+            n_inc = 0
+            for i in sel:
+                if values[i] == sel_min:
+                    values[i] += 1
+                    n_inc += 1
+            if sel_min == vmax:
+                vmax += 1
+            if sel_min == vmin:
+                nmin -= n_inc
+                if nmin == 0:  # every counter at the minimum moved up by one
+                    vmin += 1
+                    nmin = values.count(vmin)
+            if at_cap:  # UB: lift every counter at the minimum; the gap stays g
+                values[:] = [x + 1 if x == vmin else x for x in values]
+                vmin += 1
+                nmin = values.count(vmin)
+        gaps.append(vmax - vmin)
+        if snapshots is not None:
+            snapshots[t] = values
+    return gaps
+
+
 def run_trajectory(config: SimConfig, run_index: int = 0) -> TrajectoryResult:
     """One seeded trajectory; exact conditional error from the final counters."""
     rng = substream(config.seed, run_index)
-    u = rng.random((config.T, config.d))
     values = [0] * config.m
-    gap_trace = _backend.run_steps(
-        values, config.d, _VARIANT_CODES[config.variant], config.g or 0, u
-    )
+    variant = _VARIANT_CODES[config.variant]
+    gaps = []
+    for start in range(0, config.T, _BLOCK_STEPS):
+        u = rng.random((min(_BLOCK_STEPS, config.T - start), config.d))
+        gaps += _run_steps(values, _selections(u, config.m), variant, config.g or 0)
     arr = np.asarray(values, dtype=np.int64)
     return TrajectoryResult(
         values=arr,
-        gap_trace=gap_trace,
+        gap_trace=np.array(gaps, dtype=np.int64),
         conditional_error=expected_min_over_subsets(arr, config.d),
     )
 
@@ -229,35 +291,19 @@ def sandwich_trace(m: int, d: int, g: int, T: int, seed: int) -> SandwichReport:
     """
     if g < 1:
         raise ConfigurationError(f"g must be >= 1, got {g}")
-    config = SketchConfig(m, d)
-    rng = substream(seed, 0)
-    cu = zero_counters(config)
-    lo = CappedSketch(zero_counters(config), g, "lb")
-    lo2 = CappedSketch(zero_counters(config), g + 1, "lb")
-    hi2 = CappedSketch(zero_counters(config), g + 1, "ub")
-    hi = CappedSketch(zero_counters(config), g, "ub")
-    for t in range(1, T + 1):
-        s = uniform_select(config, rng)
-        cu = cu_update(cu, s)
-        lo = lb_update(lo, s)
-        lo2 = lb_update(lo2, s)
-        hi2 = ub_update(hi2, s)
-        hi = ub_update(hi, s)
-        chain = [lo.counters.values, lo2.counters.values, cu.values,
-                 hi2.counters.values, hi.counters.values]
-        for a, b in zip(chain, chain[1:]):
-            bad = np.flatnonzero(a > b)
-            if len(bad):
-                return SandwichReport(ok=False, first_violation=(t, int(bad[0])))
+    SketchConfig(m, d)
+    selections = _selections(substream(seed, 0).random((T, d)), m)
+    chains = [(_LB, g), (_LB, g + 1), (_CU, 0), (_UB, g + 1), (_UB, g)]
+    snapshots = np.empty((len(chains), T, m), dtype=np.int64)
+    for (variant, cap), snaps in zip(chains, snapshots):
+        _run_steps([0] * m, selections, variant, cap, snaps)
+    bad = snapshots[:-1] > snapshots[1:]  # (adjacent chain pair, step, counter)
+    steps = np.flatnonzero(bad.any(axis=(0, 2)))
+    if len(steps):
+        t = int(steps[0])
+        index = int(np.flatnonzero(bad[:, t])[0]) % m  # first pair in chain order, then index
+        return SandwichReport(ok=False, first_violation=(t + 1, index))
     return SandwichReport(ok=True)
-
-
-def _drive_cu_inplace(values: list[int], selections: Sequence[Sequence[int]]) -> None:
-    for sel in selections:
-        vmin = min(values[i] for i in sel)
-        for i in sel:
-            if values[i] == vmin:
-                values[i] += 1
 
 
 @dataclass(frozen=True)
@@ -302,7 +348,7 @@ def worst_case_probe(
         table = IdealHashTable(config)
         selections = [table.select(item, rng) for item in stream]
         values = [0] * m
-        _drive_cu_inplace(values, selections)
+        _run_steps(values, selections, _CU, 0)
         arr = np.asarray(values)
         for item in distinct:
             err = float(arr[list(table.assignments[item])].min()) - counts[item]
@@ -374,6 +420,6 @@ def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
     total = Fraction(0)
     for sequence in product(subsets, repeat=T):
         values = [0] * m
-        _drive_cu_inplace(values, sequence)
+        _run_steps(values, sequence, _CU, 0)
         total += _expected_min_exact(values, d)
     return OracleResult(m=m, d=d, T=T, exact_expected_error=total / leaves)

@@ -127,15 +127,6 @@ def ub_update(state: CappedSketch, s: SelectionSet) -> CappedSketch:
     return replace(state, counters=updated)
 
 
-def update(counters, s: SelectionSet):
-    """Dispatch on plain CU arrays vs capped sketches; convenience for drivers."""
-    if isinstance(counters, CappedSketch):
-        if counters.variant == "lb":
-            return lb_update(counters, s)
-        return ub_update(counters, s)
-    return cu_update(counters, s)
-
-
 def uniform_select(config: SketchConfig, rng: np.random.Generator) -> SelectionSet:
     """Draw a uniformly random d-subset of the m counters.
 

@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cusketch.closed_form import bd_gap_tail
+from cusketch.config import SketchConfig
 from cusketch.errors import ConfigurationError, OracleSizeError
 from cusketch.simulate import (
+    _VARIANT_CODES,
     SimConfig,
+    _run_steps,
+    _selections,
     brute_force_expected_error,
     estimate_error,
     expected_min_over_subsets,
@@ -17,6 +23,14 @@ from cusketch.simulate import (
     sandwich_trace,
     substream,
     worst_case_probe,
+)
+from cusketch.sketch import (
+    CappedSketch,
+    cu_update,
+    lb_update,
+    ub_update,
+    uniform_select,
+    zero_counters,
 )
 
 
@@ -98,6 +112,94 @@ class TestTrajectories:
             assert int(traj.values.max() - traj.values.min()) <= 2
 
 
+def _selection_from_uniforms(row, m):
+    """One row decoded by the scalar partial Fisher-Yates loop, sorted."""
+    idx = list(range(m))
+    for j, x in enumerate(row):
+        r = j + min(int(x * (m - j)), m - j - 1)
+        idx[j], idx[r] = idx[r], idx[j]
+    return tuple(sorted(idx[: len(row)]))
+
+
+def _spec_run(m, d, variant, g, u):
+    """Final counters and gap trace from the one-step spec functions."""
+    counters = zero_counters(SketchConfig(m, d))
+    state = counters if variant == "cu" else CappedSketch(counters, g, variant)
+    step = {"cu": cu_update, "lb": lb_update, "ub": ub_update}[variant]
+    gaps = []
+    for row in u:
+        state = step(state, _selection_from_uniforms(row, m))
+        values = state.values if variant == "cu" else state.counters.values
+        gaps.append(int(values.max() - values.min()))
+    return values.tolist(), gaps
+
+
+def _stepper_run(m, variant, g, u):
+    values = [0] * m
+    return values, _run_steps(values, _selections(u, m), _VARIANT_CODES[variant], g)
+
+
+class TestStepperMatchesPureOperations:
+    """The stepper and the one-step functional operations must agree when
+    driven by selections decoded from the same uniform draws."""
+
+    def test_cu(self):
+        m, d, T = 7, 3, 200
+        u = np.random.Generator(np.random.PCG64(1)).random((T, d))
+        assert _stepper_run(m, "cu", 0, u) == _spec_run(m, d, "cu", 0, u)
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    def test_capped(self, variant):
+        m, d, g, T = 6, 2, 2, 200
+        u = np.random.Generator(np.random.PCG64(2)).random((T, d))
+        assert _stepper_run(m, variant, g, u) == _spec_run(m, d, variant, g, u)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 8),
+        data=st.data(),
+        g=st.integers(1, 3),
+        T=st.integers(1, 60),
+        variant=st.sampled_from(["cu", "lb", "ub"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_spec_on_random_instances(self, m, data, g, T, variant, seed):
+        d = data.draw(st.integers(1, m), label="d")
+        u = np.random.Generator(np.random.PCG64(seed)).random((T, d))
+        assert _stepper_run(m, variant, g, u) == _spec_run(m, d, variant, g, u)
+
+    def test_snapshots_record_counters_after_each_step(self):
+        m, d, T = 5, 2, 40
+        u = np.random.Generator(np.random.PCG64(3)).random((T, d))
+        selections = _selections(u, m)
+        snapshots = np.empty((T, m), dtype=np.int64)
+        values = [0] * m
+        _run_steps(values, selections, _VARIANT_CODES["ub"], 1, snapshots)
+        for t in range(T):
+            replay = [0] * m
+            _run_steps(replay, selections[: t + 1], _VARIANT_CODES["ub"], 1)
+            assert snapshots[t].tolist() == replay
+        assert snapshots[-1].tolist() == values
+
+
+class TestSelections:
+    @pytest.mark.parametrize("m,d", [(2, 1), (5, 2), (10, 9), (6, 6), (50, 4)])
+    def test_matches_uniform_select_on_same_substream(self, m, d):
+        T = 300
+        decoded = _selections(substream(8, 1).random((T, d)), m)
+        rng = substream(8, 1)
+        direct = [uniform_select(SketchConfig(m, d), rng) for _ in range(T)]
+        assert [tuple(sorted(row)) for row in decoded] == direct
+
+    def test_blocked_trajectory_matches_one_decode(self):
+        config = SimConfig(m=7, d=3, T=2500, runs=1, seed=5, variant="ub", g=2)
+        traj = run_trajectory(config, 4)
+        u = substream(config.seed, 4).random((config.T, config.d))
+        values, trace = _stepper_run(config.m, "ub", 2, u)
+        assert traj.values.tolist() == values
+        assert traj.gap_trace.tolist() == trace
+
+
 class TestEstimateError:
     def test_stats_shape_and_determinism(self):
         config = SimConfig(m=5, d=2, T=200, runs=8, seed=21)
@@ -121,6 +223,18 @@ class TestEstimateError:
         stats = estimate_error(config)
         assert stats.per_run_errors == []
 
+    def test_pinned_seeded_record(self):
+        stats = estimate_error(SimConfig(m=50, d=4, T=250, runs=20, seed=1))
+        assert stats.to_dict() == {
+            "mean_error_rate": 0.035414851063829786,
+            "stderr_error_rate": 0.00021463628478871017,
+            "mean_counter_rate": 0.03832,
+            "gap_histogram": {
+                "1": 1.0, "2": 0.937, "3": 0.5986, "4": 0.1572, "5": 0.0242,
+                "6": 0.0002, "7": 0.0, "8": 0.0, "9": 0.0, "10": 0.0,
+            },
+        }
+
     def test_csv_layout(self):
         config = SimConfig(m=4, d=2, T=50, runs=2, seed=5)
         text = estimate_error(config).to_csv()
@@ -139,6 +253,29 @@ class TestSandwich:
     def test_invalid_cap(self):
         with pytest.raises(ConfigurationError):
             sandwich_trace(m=4, d=2, g=0, T=10, seed=0)
+
+    @pytest.mark.parametrize("ub_fault,expected", [(True, (4, 0)), (False, (7, 2))])
+    def test_first_violation_is_earliest_step_then_chain_order(
+        self, monkeypatch, ub_fault, expected
+    ):
+        import cusketch.simulate as sim
+
+        run_steps = sim._run_steps
+
+        def faulty(values, selections, variant, g, snapshots=None):
+            trace = run_steps(values, selections, variant, g, snapshots)
+            if variant == sim._CU:
+                snapshots[6:, 4] += 100  # CU above UB(3) at counter 4 from step 7
+            elif variant == sim._LB and g == 2:
+                snapshots[6:, 2] += 100  # LB(2) above LB(3) at counter 2 from step 7
+            elif variant == sim._UB and g == 2 and ub_fault:
+                snapshots[3:, 0] -= 100  # UB(3) above UB(2) at counter 0 from step 4
+            return trace
+
+        monkeypatch.setattr(sim, "_run_steps", faulty)
+        report = sandwich_trace(m=6, d=2, g=2, T=20, seed=1)
+        assert not report.ok
+        assert report.first_violation == expected
 
 
 class TestWorstCaseProbe:
