@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import TransitionKernel, build_kernel
+from .kernel import TransitionKernel, build_kernel, check_kernel_size
 from .states import enumerate_states
 
 DIRECT_SOLVE_LIMIT = 2000
@@ -47,13 +47,11 @@ def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
-    n = len(kernel.space)
-    pt = kernel.transition_matrix().T.tocsr()
-    pi = np.zeros(n)
+    pi = np.zeros(len(kernel.space))
     pi[kernel.space.initial_index] = 1.0
     for _ in range(T):
         yield pi
-        pi = pt @ pi
+        pi = kernel.pt @ pi
         total = pi.sum()
         if abs(total - 1.0) > OCCUPANCY_TOL:
             pi = pi / total
@@ -65,16 +63,20 @@ def evolve_occupancy(kernel: TransitionKernel, T: int) -> np.ndarray:
 
 
 def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
-    """Average expected error increment over the first T steps."""
-    r = kernel.expected_increment()
-    total = 0.0
+    """Average expected error increment over the first T steps.
+
+    The occupancy vectors are summed and weighted by r once at the end: one
+    dot product per step would wake a multi-threaded BLAS T times.
+    """
+    occupied = np.zeros(len(kernel.space))
     for pi in occupancy_sequence(kernel, T):
-        total += float(pi @ r)
-    return total / T
+        occupied += pi
+    return float(occupied @ kernel.r) / T
 
 
 def expected_error(m: int, d: int, g: int, T: int, variant: str) -> float:
     """The finite-horizon bound: lower for "lb", upper for "ub"."""
+    check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
     kernel = build_kernel(space, variant)
     return expected_error_from_kernel(kernel, T)
@@ -94,7 +96,7 @@ def stationary(
     if tol <= 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
     n = len(kernel.space)
-    pt = kernel.transition_matrix().T.tocsr()
+    pt = kernel.pt
     pi = np.zeros(n)
     pi[kernel.space.initial_index] = 1.0
     residual = np.inf
@@ -134,20 +136,26 @@ def _stationary_direct(pt: sp.csr_matrix, n: int) -> np.ndarray:
 
 def asymptotic_error_from_kernel(kernel: TransitionKernel, tol: float = 1e-12) -> float:
     pi = stationary(kernel, tol=tol)
-    return float(pi @ kernel.expected_increment())
+    return float(pi @ kernel.r)
 
 
 def asymptotic_error(
     m: int, d: int, g: int, variant: str, tol: float = 1e-12
 ) -> float:
     """Long-run bound: the limit of the finite-horizon bound as T grows."""
+    check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
     kernel = build_kernel(space, variant)
     return asymptotic_error_from_kernel(kernel, tol=tol)
 
 
 def compute_bounds(m: int, d: int, g: int, T: int | None) -> BoundResult:
-    """Both bounds with per-variant wall times; T=None means the T -> oo limit."""
+    """Both bounds with per-variant wall times; T=None means the T -> oo limit.
+
+    Each chain's kernel is dropped before the next is built, so only one is
+    held at a time.
+    """
+    check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
     results = {}
     timings = {}
@@ -158,6 +166,7 @@ def compute_bounds(m: int, d: int, g: int, T: int | None) -> BoundResult:
             value = asymptotic_error_from_kernel(kernel)
         else:
             value = expected_error_from_kernel(kernel, T)
+        del kernel
         timings[variant] = time.perf_counter() - start
         results[variant] = value
     return BoundResult(

@@ -12,15 +12,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, InternalConsistencyError, InvalidEventError
-from .states import DeltaState, StateSpace
+from .states import DeltaState, StateSpace, state_space_size, validate_params
 
 ROW_SUM_TOL = 1e-12
+# Largest transposed transition matrix, in estimated bytes, that a chain may
+# build; see `check_kernel_size`. At m=50, d=4 the g=5 chain (about 0.7 GB)
+# passes and g=6 (about 6.8 GB) fails.
+KERNEL_BYTES_GUARD = 2 * 2**30
+# Bytes per stored edge of P^T: a float64 probability and an int32 index.
+BYTES_PER_EDGE = 12
+# Sources are handled in blocks of at most this many (large events are
+# split), and targets are checked and ranked in batches of at least this many
+# (small events are joined), so a tiny chain pays NumPy's per-call cost once
+# rather than once per event and a large one keeps its temporaries in cache.
+_BLOCK_ROWS = 1 << 14
 
 
 def _check_event(k: DeltaState, v: int, c: int, d: int) -> None:
@@ -86,17 +97,9 @@ def beta_ub(k: DeltaState, v: int, c: int, m: int, d: int) -> float:
     return beta_lb(k, v, c, m, d)
 
 
-@dataclass
-class TransitionKernel:
-    """Sparse event-level edge list for one chain variant.
+class Edges(NamedTuple):
+    """Per-edge arrays of a kernel, one entry per (state, event) pair."""
 
-    Edges are stored per (v, c) event and never merged: two events sharing a
-    target keep separate entries, so each edge maps 1:1 to a case of the
-    Gamma analysis.
-    """
-
-    space: StateSpace
-    variant: str  # "lb" or "ub"
     src: np.ndarray
     dst: np.ndarray
     v: np.ndarray
@@ -104,31 +107,48 @@ class TransitionKernel:
     p: np.ndarray
     beta: np.ndarray
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.src)
 
-    def transition_matrix(self) -> sp.csr_matrix:
-        n = len(self.space)
-        return sp.csr_matrix((self.p, (self.src, self.dst)), shape=(n, n))
+@dataclass
+class TransitionKernel:
+    """What the bounds read of one chain variant: P^T and the reward vector.
+
+    `pt` is the transposed transition matrix in CSR form, duplicate (src,
+    dst) pairs summed; `r` is the per-state expected error increment, the
+    row sums of P element-wise B. `n_edges` counts (state, event) pairs,
+    which can exceed `pt.nnz`. The per-event edge list is re-derived on
+    demand by `edges()`; each edge maps 1:1 to a case of the Gamma analysis.
+    """
+
+    space: StateSpace
+    variant: str  # "lb" or "ub"
+    n_edges: int
+    pt: sp.csr_matrix
+    r: np.ndarray
+
+    def transition_matrix(self) -> sp.csc_matrix:
+        return self.pt.T
 
     def expected_increment(self) -> np.ndarray:
         """Per-state expected error increment: row sums of P element-wise B."""
-        n = len(self.space)
-        out = np.zeros(n)
-        np.add.at(out, self.src, self.p * self.beta)
-        return out
+        return self.r
+
+    def edges(self) -> Edges:
+        """Every edge in event order: (v, c) ascending, then source state."""
+        v, c, src, dst, p, beta = zip(*_event_pass(self.space, self.variant))
+        sizes = [len(rows) for rows in src]
+        return Edges(
+            src=np.concatenate(src),
+            dst=np.concatenate(dst),
+            v=np.repeat(np.array(v, dtype=np.int32), sizes),
+            c=np.repeat(np.array(c, dtype=np.int32), sizes),
+            p=np.concatenate(p),
+            beta=np.concatenate(beta),
+        )
 
     def edges_from(self, i: int) -> Iterator[tuple[int, int, int, float, float]]:
-        mask = self.src == i
-        for j in np.flatnonzero(mask):
-            yield (
-                int(self.dst[j]),
-                int(self.v[j]),
-                int(self.c[j]),
-                float(self.p[j]),
-                float(self.beta[j]),
-            )
+        e = self.edges()
+        for j in np.flatnonzero(e.src == i):
+            yield int(e.dst[j]), int(e.v[j]), int(e.c[j]), float(e.p[j]), float(e.beta[j])
 
     def to_dict(self) -> dict:
         """JSON-serializable layout: {m, d, g, variant, states, edges}."""
@@ -140,9 +160,7 @@ class TransitionKernel:
             "states": self.space.states.tolist(),
             "edges": [
                 [int(s), int(t), int(v), int(c), float(p), float(b)]
-                for s, t, v, c, p, b in zip(
-                    self.src, self.dst, self.v, self.c, self.p, self.beta
-                )
+                for s, t, v, c, p, b in zip(*self.edges())
             ],
         }
 
@@ -161,120 +179,168 @@ def _comb_table(nmax: int, rmax: int) -> np.ndarray:
     return table
 
 
-def _pack_keys(states: np.ndarray, base: int) -> np.ndarray:
-    """Collapse each state row to a single integer key for fast lookup."""
-    weights = base ** np.arange(states.shape[1], dtype=np.int64)
-    return states @ weights
+def check_kernel_size(m: int, d: int, g: int) -> None:
+    """Refuse a chain whose P^T would exceed KERNEL_BYTES_GUARD, before allocating.
+
+    The estimate counts (g + 1) * d events per state, an upper bound on the
+    edges, at BYTES_PER_EDGE each.
+    """
+    validate_params(m, d, g)
+    estimate = state_space_size(m, d, g) * (g + 1) * d * BYTES_PER_EDGE
+    if estimate > KERNEL_BYTES_GUARD:
+        raise ConfigurationError(
+            f"the (m={m}, d={d}, g={g}) chain needs about {estimate / 2**30:.1f} GiB "
+            f"for its transition matrix, above the {KERNEL_BYTES_GUARD / 2**30:.0f} GiB guard"
+        )
+
+
+def _shift_down(k: np.ndarray) -> np.ndarray:
+    """Rows (k_0 + k_1, k_2, ..., k_g, 0): the old minimum level emptied."""
+    out = np.empty_like(k)
+    out[:, :-1] = k[:, 1:]
+    out[:, 0] += k[:, 0]
+    out[:, -1] = 0
+    return out
+
+
+def _levels_above(space: StateSpace):
+    """Yield (v, k_v, sum_{l > v} k_l) over all states, for each level v."""
+    below = np.zeros(len(space), dtype=np.int64)  # sum_{l <= v} k_l
+    for v in range(space.g + 1):
+        kv = space.states[:, v]
+        below += kv
+        yield v, kv, space.m - below
+
+
+def _event_blocks(space: StateSpace):
+    """Yield (v, k_v, above, c, src) per event (v, c) and block of sources.
+
+    Event (v, c) has positive probability C(k_v, c) C(above, d - c) / C(m, d)
+    exactly where k_v >= c and above = sum_{l > v} k_l >= d - c. Its sources
+    come in ascending blocks of at most _BLOCK_ROWS, which keeps each
+    block's temporaries small enough to stay in cache.
+    """
+    for v, kv, above in _levels_above(space):
+        for c in range(1, space.d + 1):
+            live = np.flatnonzero((kv >= c) & (above >= space.d - c))
+            for start in range(0, len(live), _BLOCK_ROWS):
+                yield v, kv, above, c, live[start : start + _BLOCK_ROWS]
+
+
+def _event_targets(space: StateSpace, variant: str):
+    """Yield (v, c, src, targets, p, beta) per block of `_event_blocks`."""
+    m, d, g = space.m, space.d, space.g
+    states = space.states
+    comb = _comb_table(m, d)
+    denom = float(math.comb(m, d))
+    for v, kv, above, c, rows in _event_blocks(space):
+        above_r = above[rows]
+        p = comb[kv[rows], c] * comb[above_r, d - c] / denom
+        beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
+
+        targets = states.T[:, rows].T  # a column-major copy, like `states`
+        if v == g and c == d:
+            if variant == "lb":
+                # frozen: self-loop, no error growth
+                beta = np.zeros(len(rows))
+            else:
+                beta = (1 + denom - comb[m - targets[:, 0], d]) / denom
+                # (k_0 + k_1, k_2, ..., k_g - d, d); (m - d, d) when g = 1
+                targets = _shift_down(targets)
+                targets[:, g - 1] -= d
+                targets[:, g] = d
+        elif v == 0:
+            full_min = targets[:, 0] == c
+            moved = ~full_min
+            targets[full_min] = _shift_down(targets[full_min])
+            targets[moved, 0] -= c
+            targets[moved, 1] += c
+        else:
+            targets[:, v] -= c
+            targets[:, v + 1] += c
+        yield v, c, rows, targets, p, beta
+
+
+def _resolve(space: StateSpace, batch: list):
+    """Turn a batch of events' target states into indices, checking closure.
+
+    Any target outside the state space aborts: the Gamma maps are closed on
+    it by construction, and the membership check is what makes this a
+    closure check (rank alone would alias a non-member onto some index).
+    """
+    if not batch:
+        return
+    targets = batch[0][3] if len(batch) == 1 else np.concatenate([e[3] for e in batch])
+    outside = ~space.contains(targets)
+    if outside.any():
+        raise InternalConsistencyError(
+            f"transition target left the state space: "
+            f"{targets[np.flatnonzero(outside)[0]].tolist()}"
+        )
+    dst = space.rank(targets)
+    start = 0
+    for v, c, src, _, p, beta in batch:
+        yield v, c, src, dst[start : start + len(src)], p, beta
+        start += len(src)
+
+
+def _event_pass(space: StateSpace, variant: str):
+    """Yield (v, c, src, dst, p, beta) per event (v, c), sources ascending.
+
+    Targets are resolved in batches of at least _BLOCK_ROWS, so a small
+    chain checks and ranks all its targets in one call.
+    """
+    batch, size = [], 0
+    for event in _event_targets(space, variant):
+        batch.append(event)
+        size += len(event[2])
+        if size >= _BLOCK_ROWS:
+            yield from _resolve(space, batch)
+            batch, size = [], 0
+    yield from _resolve(space, batch)
 
 
 def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
-    """Construct all positive-probability edges, vectorized across states.
+    """Construct P^T and r from one vectorized pass over the events.
 
-    For every candidate event (v, c) one pass over the full state array
-    computes probabilities, betas, and target states; targets are resolved
-    to indices via packed integer keys. Any target outside the state space
-    aborts: the Gamma maps are closed on it by construction.
+    Each state's edges are counted first, so the edges are written straight
+    into the CSR arrays of P (rows = sources) at 12 B per edge, then turned
+    into P^T. Row sums and the range of beta are checked on the way.
     """
     if variant not in ("lb", "ub"):
         raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
-    m, d, g = space.m, space.d, space.g
-    states = space.states
     n = len(space)
-    comb = _comb_table(m, d)
-    denom = float(math.comb(m, d))
+    per_state = np.zeros(n, dtype=np.int64)
+    for _, kv, above in _levels_above(space):
+        # events (v, c) with max(1, d - above) <= c <= min(d, k_v)
+        per_state += np.maximum(np.minimum(kv, space.d) - np.maximum(space.d - above, 1) + 1, 0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(per_state, out=indptr[1:])
+    n_edges = int(indptr[-1])
+    index_type = np.int32 if max(n, n_edges) < 2**31 else np.int64
+    indptr = indptr.astype(index_type)
+    cols = np.empty(n_edges, dtype=index_type)
+    data = np.empty(n_edges)
+    fill = indptr[:-1].astype(np.int64)  # next free slot in each source's row
 
-    if (m + 1) ** (g + 1) < 2**62:
-        keys = np.sort(_pack_keys(states, m + 1))
-        order = np.argsort(_pack_keys(states, m + 1), kind="stable")
-
-        def lookup(targets: np.ndarray) -> np.ndarray:
-            tk = _pack_keys(targets, m + 1)
-            pos = np.searchsorted(keys, tk)
-            bad = (pos >= n) | (keys[np.minimum(pos, n - 1)] != tk)
-            if bad.any():
-                raise InternalConsistencyError(
-                    f"transition target left the state space: "
-                    f"{targets[np.flatnonzero(bad)[0]].tolist()}"
-                )
-            return order[pos]
-
-    else:  # fall back to dict lookup for very large m
-
-        def lookup(targets: np.ndarray) -> np.ndarray:
-            out = np.empty(len(targets), dtype=np.int64)
-            for i, row in enumerate(targets):
-                key = tuple(int(x) for x in row)
-                if key not in space.index_of:
-                    raise InternalConsistencyError(
-                        f"transition target left the state space: {key}"
-                    )
-                out[i] = space.index_of[key]
-            return out
-
-    suffix = np.cumsum(states[:, ::-1], axis=1)[:, ::-1]  # suffix[:, v] = sum_{l>=v}
-    src_parts, dst_parts, v_parts, c_parts, p_parts, b_parts = [], [], [], [], [], []
-
-    for v in range(g + 1):
-        kv = states[:, v]
-        above = suffix[:, v + 1] if v + 1 <= g else np.zeros(n, dtype=np.int64)
-        for c in range(1, d + 1):
-            p = comb[kv, c] * comb[above, d - c] / denom
-            rows = np.flatnonzero(p > 0)
-            if len(rows) == 0:
-                continue
-            beta = (comb[above[rows] + c, d] - comb[above[rows], d]) / denom
-
-            targets = states[rows].copy()
-            if v == g and c == d:
-                if variant == "lb":
-                    # frozen: self-loop, no error growth
-                    beta = np.zeros(len(rows))
-                else:
-                    shifted = np.roll(targets, -1, axis=1)
-                    shifted[:, 0] += targets[:, 0]
-                    shifted[:, -1] = 0
-                    shifted[:, g - 1] = targets[:, g] - d if g > 1 else 0
-                    shifted[:, g] = d
-                    if g == 1:
-                        shifted[:, 0] = m - d
-                    beta = (1 + denom - comb[m - targets[:, 0], d]) / denom
-                    targets = shifted
-            elif v == 0:
-                full_min = targets[:, 0] == c
-                moved = ~full_min
-                shifted = np.roll(targets[full_min], -1, axis=1)
-                shifted[:, 0] += targets[full_min, 0]
-                shifted[:, -1] = 0
-                targets[moved, 0] -= c
-                targets[moved, 1] += c
-                targets[full_min] = shifted
-            else:
-                targets[:, v] -= c
-                targets[:, v + 1] += c
-
-            src_parts.append(rows)
-            dst_parts.append(lookup(targets))
-            v_parts.append(np.full(len(rows), v, dtype=np.int32))
-            c_parts.append(np.full(len(rows), c, dtype=np.int32))
-            p_parts.append(p[rows])
-            b_parts.append(beta)
-
-    kernel = TransitionKernel(
-        space=space,
-        variant=variant,
-        src=np.concatenate(src_parts),
-        dst=np.concatenate(dst_parts),
-        v=np.concatenate(v_parts),
-        c=np.concatenate(c_parts),
-        p=np.concatenate(p_parts),
-        beta=np.concatenate(b_parts),
-    )
-
+    r = np.zeros(n)
     row_sums = np.zeros(n)
-    np.add.at(row_sums, kernel.src, kernel.p)
+    for _, _, rows, dst, p, beta in _event_pass(space, variant):
+        if beta.min() < 0 or beta.max() > 1:
+            raise InternalConsistencyError("beta values escaped [0, 1]")
+        slots = fill[rows]
+        cols[slots] = dst
+        data[slots] = p
+        fill[rows] += 1
+        r[rows] += p * beta
+        row_sums[rows] += p
+
     worst = float(np.abs(row_sums - 1.0).max())
     if worst > ROW_SUM_TOL:
         raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
-    if kernel.beta.min() < 0 or kernel.beta.max() > 1:
-        raise InternalConsistencyError("beta values escaped [0, 1]")
-    return kernel
+    # the CSR arrays of P are the CSC arrays of P^T
+    pt = sp.csc_matrix((data, cols, indptr), shape=(n, n))
+    del data, cols
+    pt = pt.tocsr()
+    pt.sum_duplicates()
+    return TransitionKernel(space=space, variant=variant, n_edges=n_edges, pt=pt, r=r)

@@ -26,14 +26,13 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from .config import SketchConfig
 from .errors import ConfigurationError, OracleSizeError
-from .sketch import IdealHashTable
 
 GAP_HISTOGRAM_LEVELS = 10
 ORACLE_LEAF_GUARD = 10**6
@@ -133,12 +132,11 @@ def expected_min_over_subsets(values: Sequence[int], d: int) -> float:
     return sum(y[r - 1] * math.comb(m - r, d - 1) for r in range(1, m - d + 2)) / total
 
 
-def _expected_min_exact(values: Sequence[int], d: int) -> Fraction:
+def _expected_min_numerator(values: Sequence[int], d: int) -> int:
+    """C(m, d) times E[min over a uniformly random d-subset], an integer."""
     y = sorted(values)
     m = len(y)
-    total = math.comb(m, d)
-    num = sum(y[r - 1] * math.comb(m - r, d - 1) for r in range(1, m - d + 2))
-    return Fraction(num, total)
+    return sum(y[r - 1] * math.comb(m - r, d - 1) for r in range(1, m - d + 2))
 
 
 def _selections(u: np.ndarray, m: int) -> list[list[int]]:
@@ -327,33 +325,33 @@ def worst_case_probe(
 ) -> WorstCaseReport:
     """Compare present-item errors against the absent-item error on a stream.
 
-    Hash assignments are redrawn each run (memoized within a run); the
-    absent item's error uses the exact subset expectation, present items
-    use their assigned subsets.
+    Hash assignments are redrawn each run: as with `IdealHashTable`, each
+    distinct item draws one uniform subset, in first-seen order, from the
+    run's substream, decoded for all items in one block. The absent item's
+    error uses the exact subset expectation, present items use their
+    assigned subsets.
     """
-    config = SketchConfig(m, d)
-    T = len(stream)
+    SketchConfig(m, d)
     counts: dict[Hashable, int] = {}
     for item in stream:
         counts[item] = counts.get(item, 0) + 1
     distinct = list(counts)
+    slot = {item: i for i, item in enumerate(distinct)}
+    order = [slot[item] for item in stream]
+    count_of = np.array(list(counts.values()))
 
-    sums = {item: 0.0 for item in distinct}
-    sqsums = {item: 0.0 for item in distinct}
+    sums = np.zeros(len(distinct))
+    sqsums = np.zeros(len(distinct))
     absent_sum = 0.0
     absent_sq = 0.0
 
     for run in range(runs):
-        rng = substream(seed, run)
-        table = IdealHashTable(config)
-        selections = [table.select(item, rng) for item in stream]
+        subsets = _selections(substream(seed, run).random((len(distinct), d)), m)
         values = [0] * m
-        _run_steps(values, selections, _CU, 0)
-        arr = np.asarray(values)
-        for item in distinct:
-            err = float(arr[list(table.assignments[item])].min()) - counts[item]
-            sums[item] += err
-            sqsums[item] += err * err
+        _run_steps(values, [subsets[i] for i in order], _CU, 0)
+        errors = np.asarray(values)[subsets].min(axis=1) - count_of
+        sums += errors
+        sqsums += errors * errors
         abs_err = expected_min_over_subsets(values, d)
         absent_sum += abs_err
         absent_sq += abs_err * abs_err
@@ -366,8 +364,8 @@ def worst_case_probe(
     absent_mean, absent_se = _stats(absent_sum, absent_sq)
     items = []
     ok = True
-    for item in distinct:
-        mean, se = _stats(sums[item], sqsums[item])
+    for item, total, sq in zip(distinct, sums.tolist(), sqsums.tolist()):
+        mean, se = _stats(total, sq)
         items.append(ProbeItemStats(item=item, count=counts[item], mean_error=mean, stderr=se))
         margin = 3.0 * math.hypot(se, absent_se) if runs > 1 else 0.0
         if mean > absent_mean + margin:
@@ -406,6 +404,8 @@ def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
 
     Averages the exact conditional subset expectation uniformly over all
     C(m, d)^T equally likely sequences; the result is an exact rational.
+    The sequences are walked depth first, so each shared prefix is stepped
+    once and only the counters along the current path are held.
     """
     SketchConfig(m, d)
     if T < 1:
@@ -416,10 +416,19 @@ def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
         raise OracleSizeError(
             f"C({m},{d})^{T} = {leaves} sequences exceeds the {ORACLE_LEAF_GUARD} guard"
         )
-    subsets = list(combinations(range(m), d))
-    total = Fraction(0)
-    for sequence in product(subsets, repeat=T):
-        values = [0] * m
-        _run_steps(values, sequence, _CU, 0)
-        total += _expected_min_exact(values, d)
-    return OracleResult(m=m, d=d, T=T, exact_expected_error=total / leaves)
+    steps = [(s,) for s in combinations(range(m), d)]  # one-step selection sequences
+
+    def numerators(values: list[int], steps_left: int) -> int:
+        if steps_left == 0:
+            return _expected_min_numerator(values, d)
+        total = 0
+        for step in steps:
+            child = values.copy()
+            _run_steps(child, step, _CU, 0)
+            total += numerators(child, steps_left - 1)
+        return total
+
+    total = numerators([0] * m, T)
+    return OracleResult(
+        m=m, d=d, T=T, exact_expected_error=Fraction(total, n_subsets * leaves)
+    )

@@ -1,4 +1,4 @@
-"""Enumeration of the gap-capped offset-histogram state space.
+"""Enumeration and ranking of the gap-capped offset-histogram state space.
 
 A state is the vector k = (k_0, ..., k_g) where k_l counts the counters
 exactly l above the current minimum. Valid states satisfy
@@ -7,13 +7,19 @@ exactly l above the current minimum. Valid states satisfy
 
 with L(k) the highest occupied level. The number of such states is
 C(m + g - d, g).
+
+With spare = m - 1 - d, a state of level L >= 1 is (1 + c_0, c_1, ...,
+c_{L-1}, d + c_L, 0, ...) for a composition (c_0, ..., c_L) of spare into
+L + 1 non-negative parts, so a state's index is its composition's rank
+(Knuth, TAOCP 4A, 7.2.1.3) plus the sizes of the lower levels' blocks.
+Ranking replaces any lookup table from states to indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,22 +32,7 @@ def state_space_size(m: int, d: int, g: int) -> int:
     return math.comb(m + g - d, g)
 
 
-def _compositions(total: int, parts: int):
-    """All ways to write `total` as an ordered sum of `parts` non-negatives."""
-    if parts == 1:
-        yield (total,)
-        return
-    for cuts in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for c in cuts:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
-
-
-def _validate_params(m: int, d: int, g: int) -> None:
+def validate_params(m: int, d: int, g: int) -> None:
     if m < 2:
         raise ConfigurationError(f"m must be >= 2, got {m}")
     if not 1 <= d <= m:
@@ -55,13 +46,12 @@ def _validate_params(m: int, d: int, g: int) -> None:
 
 @dataclass
 class StateSpace:
-    """Indexed enumeration of all valid offset histograms for (m, d, g)."""
+    """All valid offset histograms for (m, d, g), ranked in enumeration order."""
 
     m: int
     d: int
     g: int
-    states: np.ndarray  # shape (N, g + 1), int64
-    index_of: dict[DeltaState, int] = field(repr=False)
+    states: np.ndarray  # shape (N, g + 1), int64, column-major
 
     def __len__(self) -> int:
         return len(self.states)
@@ -70,7 +60,12 @@ class StateSpace:
         return tuple(int(x) for x in self.states[i])
 
     def index(self, k: DeltaState) -> int:
-        return self.index_of[self.pad(k)]
+        row = np.array([self.pad(k)], dtype=np.int64)
+        if not self.contains(row)[0]:
+            raise ConfigurationError(
+                f"{tuple(k)} is not a state for m={self.m}, d={self.d}, g={self.g}"
+            )
+        return int(self.rank(row)[0])
 
     def pad(self, k: DeltaState) -> DeltaState:
         """Extend a trimmed offset histogram to the fixed g + 1 length."""
@@ -82,6 +77,76 @@ class StateSpace:
     def initial_index(self) -> int:
         return 0
 
+    def _rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.g + 1:
+            raise ConfigurationError(f"state rows must have shape (n, {self.g + 1})")
+        return rows
+
+    def _levels(self, rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Prefix sums S_j = k_0 + ... + k_j for j < g, and the top level L.
+
+        For rows with non-negative entries summing to m, L (the highest
+        occupied level) is the number of prefixes short of m. Works column
+        by column, which is fastest on the column-major arrays used here.
+        """
+        prefix = [rows[:, 0]]
+        for j in range(1, self.g):
+            prefix.append(prefix[-1] + rows[:, j])
+        top = np.zeros(len(rows), dtype=np.int64)
+        for s in prefix:
+            top += s < self.m
+        return prefix, top
+
+    def contains(self, rows) -> np.ndarray:
+        """Boolean mask: which rows of an (n, g + 1) array are valid states."""
+        rows = self._rows(rows)
+        prefix, top = self._levels(rows)
+        ok = (prefix[-1] + rows[:, self.g] == self.m) & (rows[:, 0] >= 1)
+        for level in range(1, self.g + 1):
+            k = rows[:, level]
+            ok &= (k >= 0) & ((top != level) | (k >= self.d))
+        return ok
+
+    @cached_property
+    def _rank_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Block offsets per level and the flattened table of composition counts.
+
+        counts[a + 1, b] = C(a + b, b), the number of compositions of a into
+        b + 1 parts; row 0 holds zeros for a = -1.
+        """
+        spare, g = max(self.m - 1 - self.d, 0), self.g
+        counts = np.zeros((spare + 2, g + 1), dtype=np.int64)
+        counts[1:, 0] = 1
+        for b in range(1, g + 1):
+            counts[1:, b] = np.cumsum(counts[1:, b - 1])
+        # the start state, then C(spare + l, l) states for each level l < g
+        offsets = np.concatenate(([0, 1], 1 + np.cumsum(counts[spare + 1, 1:g])))
+        return offsets, counts.ravel()
+
+    def rank(self, rows) -> np.ndarray:
+        """Index of each row in `states`; rows must be members (see `contains`).
+
+        A level-L state sits after the start state and the lower levels'
+        blocks. Within its block, compositions (c_0, ..., c_L) of spare come
+        in descending lexicographic order, so each part j < L adds the number
+        of compositions with the same earlier parts and a larger part j:
+        C(rem - 1 + L - j, L - j), where rem = spare - c_0 - ... - c_j =
+        m - d - S_j is what the later parts hold; the term is 0 when rem = 0.
+        For j >= L, S_j = m, so the table index is negative and clips to a
+        zero entry.
+        """
+        rows = self._rows(rows)
+        if self.m == self.d:
+            return np.zeros(len(rows), dtype=np.int64)  # the start state is the only state
+        offsets, counts = self._rank_table
+        g = self.g
+        prefix, top = self._levels(rows)
+        out = offsets[top]
+        for j, s in enumerate(prefix):
+            out += counts.take((self.m - self.d - s) * (g + 1) + (top - j), mode="clip")
+        return out
+
 
 def enumerate_states(m: int, d: int, g: int) -> StateSpace:
     """Build the full state space in a deterministic order.
@@ -89,25 +154,33 @@ def enumerate_states(m: int, d: int, g: int) -> StateSpace:
     States are grouped by highest occupied level L ascending and sorted in
     descending lexicographic order within each group, so index 0 is always
     the all-at-minimum start state (m, 0, ..., 0).
+
+    The blocks are built level by level from `tails`: every L-tuple
+    (c_1, ..., c_L) of non-negatives with sum <= spare, ordered by sum
+    ascending, then descending lexicographically. Level L's compositions are
+    (spare - sum, tail) for the tails in that order.
     """
-    _validate_params(m, d, g)
-    states: list[DeltaState] = [(m,) + (0,) * g]
+    validate_params(m, d, g)
+    spare = m - 1 - d
+    n = state_space_size(m, d, g)
+    states = np.zeros((n, g + 1), dtype=np.int64, order="F")  # levels contiguous
+    states[0, 0] = m
+    start = 1
+    tails = np.zeros((1, 0), dtype=np.int64)
     for level in range(1, g + 1):
-        spare = m - 1 - d
         if spare < 0:
             break  # d = m: the top level can never hold d counters unless L = 0
-        block = []
-        for comp in _compositions(spare, level + 1):
-            k = (1 + comp[0],) + comp[1:level] + (d + comp[level],)
-            block.append(k + (0,) * (g - level))
-        block.sort(reverse=True)
-        states.extend(block)
-
-    expected = state_space_size(m, d, g)
-    if len(states) != expected:
-        raise AssertionError(
-            f"enumerated {len(states)} states, expected C({m + g - d},{g}) = {expected}"
-        )
-    arr = np.array(states, dtype=np.int64)
-    index_of = {k: i for i, k in enumerate(states)}
-    return StateSpace(m=m, d=d, g=g, states=arr, index_of=index_of)
+        sums = tails.sum(axis=1)
+        ends = np.searchsorted(sums, np.arange(spare + 1), side="right")
+        tails = np.concatenate([
+            np.column_stack((s - sums[:end], tails[:end]))
+            for s, end in enumerate(ends)
+        ])
+        block = states[start : start + len(tails)]
+        block[:, 0] = 1 + spare - tails.sum(axis=1)
+        block[:, 1 : level + 1] = tails
+        block[:, level] += d
+        start += len(tails)
+    if start != n:
+        raise AssertionError(f"enumerated {start} states, expected C({m + g - d},{g}) = {n}")
+    return StateSpace(m=m, d=d, g=g, states=states)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cusketch.bounds
 from cusketch.bounds import (
     asymptotic_error,
     compute_bounds,
@@ -99,6 +100,33 @@ class TestAsymptotic:
 
 
 class TestComputeBounds:
+    # (lower, upper) at m=50, d=4, T=250, recorded before the kernel stored
+    # only P^T and r; the rewrite must reproduce them to summation order.
+    TABLE1 = {
+        1: (0.018535740622022616, 0.076229982738485857),
+        2: (0.029445301201333349, 0.040728699069150359),
+        3: (0.034070454768365101, 0.036225691863619791),
+    }
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_table1_rows_pinned(self, g):
+        res = compute_bounds(50, 4, g, 250)
+        lower, upper = self.TABLE1[g]
+        assert abs(res.lower - lower) <= 1e-12
+        assert abs(res.upper - upper) <= 1e-12
+
+    def test_oversized_chain_refused_before_enumeration(self, monkeypatch):
+        def enumerate_states(*args):
+            raise AssertionError("enumerated a state space past the size guard")
+
+        monkeypatch.setattr(cusketch.bounds, "enumerate_states", enumerate_states)
+        with pytest.raises(ConfigurationError, match="guard"):
+            compute_bounds(50, 4, 6, 10)
+        with pytest.raises(ConfigurationError, match="guard"):
+            asymptotic_error(50, 4, 6, "lb")
+        with pytest.raises(ConfigurationError, match="guard"):
+            expected_error(50, 4, 6, 10, "ub")
+
     def test_returns_ordered_pair_with_timings(self):
         res = compute_bounds(6, 2, 2, 40)
         assert 0.0 <= res.lower <= res.upper <= 1.0

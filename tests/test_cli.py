@@ -1,5 +1,6 @@
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from cusketch.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -62,6 +65,32 @@ class TestBounds:
         for variant in ("lb", "ub"):
             dumped = json.loads(open(record["results"][f"{variant}_kernel_dump"]).read())
             assert dumped["variant"] == variant and dumped["m"] == 4
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    def test_kernel_dump_matches_recorded_copy(self, capsys, tmp_path, variant):
+        path = tmp_path / "k.json"
+        rc, _, _ = run(
+            capsys, "bounds", "--m", "6", "--d", "3", "--g", "2", "--t", "5",
+            "--variant", variant, "--dump-kernel", str(path),
+        )
+        assert rc == EXIT_OK
+        assert path.read_bytes() == (DATA / f"kernel_6_3_2.{variant}.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["bounds", "asymptotic"])
+    def test_oversized_chain_is_usage_error_without_allocating(
+        self, capsys, monkeypatch, command
+    ):
+        import cusketch.cli as cli_mod
+
+        def enumerate_states(*args):
+            raise AssertionError("enumerated a state space past the size guard")
+
+        monkeypatch.setattr(cli_mod, "enumerate_states", enumerate_states)
+        monkeypatch.setattr(cusketch.bounds, "enumerate_states", enumerate_states)
+        argv = [command, "--m", "50", "--d", "4", "--g", "6"]
+        rc, out, err = run(capsys, *argv, *(["--t", "10"] if command == "bounds" else []))
+        assert rc == EXIT_USAGE
+        assert out == "" and "guard" in err
 
 
 class TestAsymptotic:

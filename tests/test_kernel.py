@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cusketch.errors import InvalidEventError
+import cusketch.kernel as kernel_mod
+from cusketch.errors import ConfigurationError, InvalidEventError
 from cusketch.kernel import (
     beta_lb,
     beta_ub,
     build_kernel,
+    check_kernel_size,
     gamma_lb,
     gamma_ub,
     transition_prob,
@@ -122,9 +125,7 @@ class TestBuildKernel:
         space = enumerate_states(m, d, g)
         for variant, gamma, beta in (("lb", gamma_lb, beta_lb), ("ub", gamma_ub, beta_ub)):
             kernel = build_kernel(space, variant)
-            for src, dst, v, c, p, b in zip(
-                kernel.src, kernel.dst, kernel.v, kernel.c, kernel.p, kernel.beta
-            ):
+            for src, dst, v, c, p, b in zip(*kernel.edges()):
                 k = space.state(src)
                 assert space.index(gamma(k, v, c, d)) == dst
                 assert p == pytest.approx(transition_prob(k, v, c, m, d), abs=1e-14)
@@ -141,8 +142,9 @@ class TestBuildKernel:
         d = max(1, round(d_frac * m))
         space = enumerate_states(m, d, g)
         kernel = build_kernel(space, variant)  # raises on closure/row-sum bugs
+        edges = kernel.edges()
         sums = np.zeros(len(space))
-        np.add.at(sums, kernel.src, kernel.p)
+        np.add.at(sums, edges.src, edges.p)
         assert np.abs(sums - 1.0).max() < 1e-12
         assert kernel.n_edges <= m * len(space)
 
@@ -153,6 +155,56 @@ class TestBuildKernel:
             k = space.state(i)
             bound = sum(min(3, kv) for kv in k if kv >= 1)
             assert len(list(kernel.edges_from(i))) <= bound
+
+
+    @pytest.mark.parametrize("m,d,g", [(6, 3, 2), (5, 5, 2), (8, 1, 3), (9, 4, 1)])
+    def test_matrix_and_reward_match_edges(self, m, d, g):
+        space = enumerate_states(m, d, g)
+        for variant in ("lb", "ub"):
+            kernel = build_kernel(space, variant)
+            edges = kernel.edges()
+            n = len(space)
+            assert kernel.n_edges == len(edges.src)
+            p = sp.csr_matrix((edges.p, (edges.src, edges.dst)), shape=(n, n))
+            assert abs(kernel.transition_matrix() - p).max() == 0.0
+            assert kernel.pt.has_canonical_format
+            reward = np.zeros(n)
+            np.add.at(reward, edges.src, edges.p * edges.beta)
+            assert (kernel.expected_increment() == reward).all()
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_block_size_does_not_change_kernel(self, monkeypatch, block_rows):
+        space = enumerate_states(9, 3, 3)
+        whole = {v: build_kernel(space, v) for v in ("lb", "ub")}
+        monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", block_rows)
+        for variant, ref in whole.items():
+            kernel = build_kernel(space, variant)
+            assert abs(kernel.pt - ref.pt).max() == 0.0
+            assert (kernel.pt.indices == ref.pt.indices).all()
+            assert (kernel.r == ref.r).all()
+            for got, want in zip(kernel.edges(), ref.edges()):
+                assert (got == want).all()
+
+    def test_stores_only_matrix_and_reward(self):
+        kernel = build_kernel(enumerate_states(50, 4, 2), "lb")
+        pt = kernel.pt
+        assert pt.indices.dtype == np.int32 and pt.indptr.dtype == np.int32
+        stored = pt.data.nbytes + pt.indices.nbytes + pt.indptr.nbytes + kernel.r.nbytes
+        assert stored / kernel.n_edges <= 14
+
+
+class TestSizeGuard:
+    def test_table1_rows_up_to_g5_pass(self):
+        for g in range(1, 6):
+            check_kernel_size(50, 4, g)
+
+    def test_g6_refused(self):
+        with pytest.raises(ConfigurationError, match="guard"):
+            check_kernel_size(50, 4, 6)
+
+    def test_invalid_parameters_are_configuration_errors(self):
+        with pytest.raises(ConfigurationError):
+            check_kernel_size(3, 4, 1)
 
 
 class TestSerialization:

@@ -26,6 +26,7 @@ from cusketch.simulate import (
 )
 from cusketch.sketch import (
     CappedSketch,
+    IdealHashTable,
     cu_update,
     lb_update,
     ub_update,
@@ -296,6 +297,31 @@ class TestWorstCaseProbe:
         )
 
 
+    @pytest.mark.parametrize(
+        "stream", [["a", "b", "a", "c"] * 10, [f"x{i % 7}" for i in range(30)], ["hot"] * 5]
+    )
+    def test_matches_per_item_hash_table(self, stream):
+        """The block decode draws what IdealHashTable draws, item by item."""
+        m, d, runs, seed = 9, 3, 40, 5
+        config = SketchConfig(m, d)
+        sums: dict = {}
+        absent = 0.0
+        for run in range(runs):
+            rng = substream(seed, run)
+            table = IdealHashTable(config)
+            selections = [table.select(item, rng) for item in stream]
+            values = [0] * m
+            _run_steps(values, selections, _VARIANT_CODES["cu"], 0)
+            for item, subset in table.assignments.items():
+                err = min(values[i] for i in subset) - stream.count(item)
+                sums[item] = sums.get(item, 0.0) + err
+            absent += expected_min_over_subsets(values, d)
+        report = worst_case_probe(m, d, stream, runs, seed)
+        assert [s.item for s in report.items] == list(sums)
+        assert [s.mean_error for s in report.items] == [v / runs for v in sums.values()]
+        assert report.absent_mean == absent / runs
+
+
 class TestGapTail:
     def test_long_run_matches_birth_death_tail(self):
         m, T = 8, 200_000
@@ -315,6 +341,14 @@ class TestBruteForceOracle:
         res = brute_force_expected_error(3, 2, 2)
         assert res.exact_expected_error == Fraction(8, 9)
         assert res.per_step == Fraction(4, 9)
+
+    def test_pinned_exact_values(self):
+        # recorded when each leaf re-ran all T steps from zero counters
+        assert brute_force_expected_error(3, 2, 6).exact_expected_error == Fraction(688, 243)
+        assert brute_force_expected_error(3, 2, 3).exact_expected_error == Fraction(35, 27)
+        assert brute_force_expected_error(4, 2, 3).exact_expected_error == Fraction(47, 54)
+        assert brute_force_expected_error(3, 1, 4).exact_expected_error == Fraction(4, 3)
+        assert brute_force_expected_error(4, 3, 3).exact_expected_error == Fraction(39, 32)
 
     def test_guard_on_huge_enumerations(self):
         with pytest.raises(OracleSizeError):

@@ -1,7 +1,10 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cusketch.errors import ConfigurationError
 from cusketch.states import enumerate_states, state_space_size
@@ -40,9 +43,19 @@ class TestEnumeration:
 
     def test_index_map_is_bijective(self):
         space = enumerate_states(6, 2, 3)
-        assert sorted(space.index_of.values()) == list(range(len(space)))
+        assert sorted(space.rank(space.states).tolist()) == list(range(len(space)))
         for i in range(len(space)):
             assert space.index(space.state(i)) == i
+
+    def test_index_of_trimmed_state(self):
+        space = enumerate_states(5, 2, 3)
+        assert space.index((3, 2)) == space.index((3, 2, 0, 0))
+
+    @pytest.mark.parametrize("k", [(5, 1, 0), (2, 1, 1), (0, 3, 3), (4, 3, -1), (3, 0, 1)])
+    def test_index_of_non_member_raises(self, k):
+        space = enumerate_states(6, 2, 2)
+        with pytest.raises(ConfigurationError):
+            space.index(k)
 
     @pytest.mark.parametrize("m,d,g", [(3, 2, 1), (5, 2, 2), (6, 3, 3), (8, 7, 2), (4, 1, 2)])
     def test_matches_brute_force(self, m, d, g):
@@ -76,3 +89,29 @@ class TestEnumeration:
         assert space.pad((3, 2)) == (3, 2, 0, 0)
         with pytest.raises(ConfigurationError):
             space.pad((1, 1, 1, 1, 1))
+
+
+class TestRank:
+    @pytest.mark.parametrize("m,d,g", [(50, 4, 4), (20, 19, 5), (6, 6, 2), (4, 1, 3)])
+    def test_rank_is_enumeration_order(self, m, d, g):
+        space = enumerate_states(m, d, g)
+        assert (space.rank(space.states) == np.arange(len(space))).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 14), d_frac=st.floats(0.0, 1.0), g=st.integers(1, 5),
+           data=st.data())
+    def test_rank_and_membership(self, m, d_frac, g, data):
+        d = 1 + round(d_frac * (m - 1))
+        space = enumerate_states(m, d, g)
+        assert (space.rank(space.states) == np.arange(len(space))).all()
+        assert space.contains(space.states).all()
+        # move one unit between two levels, or add or remove one unit
+        i = data.draw(st.integers(0, len(space) - 1))
+        a = data.draw(st.integers(0, g))
+        b = data.draw(st.integers(0, g))
+        delta = data.draw(st.sampled_from([(-1, 1), (-1, 0), (1, 0)]))
+        k = space.states[i].copy()
+        k[a] += delta[0]
+        k[b] += delta[1]
+        member = k.tolist() in space.states.tolist()
+        assert space.contains(k[None, :])[0] == member
