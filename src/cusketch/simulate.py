@@ -237,6 +237,14 @@ def _worker_count() -> int:
         return 1
 
 
+def _stderr(values: Sequence[float], mean: float) -> float:
+    """Standard error of the mean from the two-pass sample variance; NaN below two values."""
+    n = len(values)
+    if n < 2:
+        return float("nan")
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1) / n)
+
+
 def estimate_error(config: SimConfig) -> SimStats:
     """Average the exact conditional errors over independent seeded runs."""
     workers = _worker_count()
@@ -252,11 +260,6 @@ def estimate_error(config: SimConfig) -> SimStats:
     tails = np.sum([t for _, _, t in results], axis=0)
 
     mean = math.fsum(errors) / len(errors)
-    if len(errors) > 1:
-        var = math.fsum((e - mean) ** 2 for e in errors) / (len(errors) - 1)
-        stderr = math.sqrt(var / len(errors))
-    else:
-        stderr = float("nan")
     histogram = {
         level: float(tails[level - 1]) / (config.T * config.runs)
         for level in range(1, GAP_HISTOGRAM_LEVELS + 1)
@@ -264,7 +267,7 @@ def estimate_error(config: SimConfig) -> SimStats:
     return SimStats(
         config=config,
         mean_error_rate=mean,
-        stderr_error_rate=stderr,
+        stderr_error_rate=_stderr(errors, mean),
         mean_counter_rate=math.fsum(rates) / len(rates),
         gap_histogram=histogram,
         per_run_errors=errors if config.retain_per_run else [],
@@ -340,32 +343,26 @@ def worst_case_probe(
     order = [slot[item] for item in stream]
     count_of = np.array(list(counts.values()))
 
-    sums = np.zeros(len(distinct))
-    sqsums = np.zeros(len(distinct))
+    run_errors = np.empty((runs, len(distinct)))
     absent_sum = 0.0
-    absent_sq = 0.0
+    absent_errors = []
 
     for run in range(runs):
         subsets = _selections(substream(seed, run).random((len(distinct), d)), m)
         values = [0] * m
         _run_steps(values, [subsets[i] for i in order], _CU, 0)
-        errors = np.asarray(values)[subsets].min(axis=1) - count_of
-        sums += errors
-        sqsums += errors * errors
+        run_errors[run] = np.asarray(values)[subsets].min(axis=1) - count_of
         abs_err = expected_min_over_subsets(values, d)
         absent_sum += abs_err
-        absent_sq += abs_err * abs_err
+        absent_errors.append(abs_err)
 
-    def _stats(total: float, sq: float) -> tuple[float, float]:
-        mean = total / runs
-        var = max(0.0, (sq - runs * mean * mean) / (runs - 1)) if runs > 1 else float("nan")
-        return mean, math.sqrt(var / runs) if runs > 1 else float("nan")
-
-    absent_mean, absent_se = _stats(absent_sum, absent_sq)
+    absent_mean = absent_sum / runs
+    absent_se = _stderr(absent_errors, absent_mean)
     items = []
     ok = True
-    for item, total, sq in zip(distinct, sums.tolist(), sqsums.tolist()):
-        mean, se = _stats(total, sq)
+    means = run_errors.sum(axis=0) / runs  # integer errors: exact sums in any order
+    for item, mean, column in zip(distinct, means.tolist(), run_errors.T.tolist()):
+        se = _stderr(column, mean)
         items.append(ProbeItemStats(item=item, count=counts[item], mean_error=mean, stderr=se))
         margin = 3.0 * math.hypot(se, absent_se) if runs > 1 else 0.0
         if mean > absent_mean + margin:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import cusketch.bounds
 from cusketch.bounds import (
+    _stationary_direct,
     asymptotic_error,
     compute_bounds,
     evolve_occupancy,
@@ -39,6 +41,14 @@ class TestOccupancy:
     def test_horizon_must_be_positive(self, two_state_lb):
         with pytest.raises(ConfigurationError):
             evolve_occupancy(two_state_lb, 0)
+
+    def test_oversized_stack_refused_before_allocating(self, two_state_lb, monkeypatch):
+        def occupancy_sequence(*args):
+            raise AssertionError("evolved occupancy past the size guard")
+
+        monkeypatch.setattr(cusketch.bounds, "occupancy_sequence", occupancy_sequence)
+        with pytest.raises(ConfigurationError, match="guard"):
+            evolve_occupancy(two_state_lb, 10**9)  # 16 GB of float64
 
 
 class TestExpectedError:
@@ -83,8 +93,103 @@ class TestStationary:
         with pytest.raises(ConfigurationError):
             stationary(two_state_lb, tol=0.0)
 
+    def test_unreachable_tol_stops_at_rounding_floor(self):
+        kernel = build_kernel(enumerate_states(6, 2, 2), "lb")
+        with pytest.raises(NonConvergenceError) as exc:
+            stationary(kernel, tol=1e-300)
+        assert exc.value.iterations <= 5
+        assert 1e-300 < exc.value.residual <= 1e-15
+
+
+def _residual(kernel, pi):
+    return float(np.abs(kernel.pt @ pi - pi).max())
+
+
+class TestArnoldiStart:
+    """The power loop certifies the result whatever ARPACK hands it."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self):
+        return build_kernel(enumerate_states(10, 3, 3), "ub")  # 120 states
+
+    def test_start_is_already_stationary(self, kernel):
+        start = cusketch.bounds._start_vector(kernel)
+        assert start.min() >= 0.0 and start.sum() == pytest.approx(1.0, abs=1e-15)
+        assert _residual(kernel, start) <= 1e-14
+
+    def _check(self, kernel, tol=1e-12):
+        pi = stationary(kernel, tol=tol)
+        assert _residual(kernel, pi) <= 2 * tol
+        assert np.abs(pi - _stationary_direct(kernel.pt, len(pi))).max() <= 1e-10
+
+    def test_arpack_no_convergence_falls_back(self, kernel, monkeypatch):
+        calls = []
+
+        def eigs(*args, **kwargs):
+            calls.append(kwargs)
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        start = cusketch.bounds._start_vector(kernel)
+        assert start[kernel.space.initial_index] == 1.0 and start.sum() == 1.0
+        self._check(kernel)
+        assert calls
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            lambda n: np.eye(n)[n - 1],  # a point mass on the wrong state
+            lambda n: np.linspace(-1.0, 2.0, n) + 0.5j,  # mixed signs, complex
+        ],
+    )
+    def test_wrong_ritz_vector_is_repaired(self, kernel, monkeypatch, vector):
+        n = len(kernel.space)
+
+        def eigs(*args, **kwargs):
+            return np.array([0.9 + 0.2j]), vector(n).astype(complex)[:, None]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        assert _residual(kernel, cusketch.bounds._start_vector(kernel)) > 1e-3
+        self._check(kernel)
+
+    @pytest.mark.parametrize(
+        "m, d, g, n, arnoldi",
+        [(5, 5, 1, 1, False), (3, 2, 1, 2, False), (3, 2, 2, 3, True)],
+    )
+    def test_smallest_chains(self, monkeypatch, m, d, g, n, arnoldi):
+        kernel = build_kernel(enumerate_states(m, d, g), "lb")
+        assert len(kernel.space) == n
+        calls = []
+        real_eigs = scipy.sparse.linalg.eigs
+
+        def eigs(*args, **kwargs):
+            calls.append(kwargs)
+            return real_eigs(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        self._check(kernel)
+        assert bool(calls) == arnoldi
+
 
 class TestAsymptotic:
+    # Long-run limits at m=50, d=4 recorded with power iteration from the
+    # start state, before the Arnoldi start; they moved by at most 1.4e-12.
+    LIMITS = {
+        3: (0.034978754420538362, 0.037924141739897083),
+        4: (0.036676985241395878, 0.037226498811476355),
+    }
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    def test_g3_limits_pinned(self, variant):
+        expected = self.LIMITS[3][variant == "ub"]
+        assert abs(asymptotic_error(50, 4, 3, variant) - expected) <= 1e-9
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    def test_g4_limits_pinned(self, variant):
+        expected = self.LIMITS[4][variant == "ub"]
+        assert abs(asymptotic_error(50, 4, 4, variant) - expected) <= 1e-9
+
     def test_two_state_limits(self):
         assert asymptotic_error(3, 2, 1, "lb") == pytest.approx(2 / 5, abs=1e-10)
         assert asymptotic_error(3, 2, 1, "ub") == pytest.approx(3 / 5, abs=1e-10)

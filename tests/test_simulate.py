@@ -14,6 +14,7 @@ from cusketch.simulate import (
     SimConfig,
     _run_steps,
     _selections,
+    _stderr,
     brute_force_expected_error,
     estimate_error,
     expected_min_over_subsets,
@@ -243,6 +244,39 @@ class TestEstimateError:
         assert lines[0] == "run,error,counter_rate"
         assert lines[3] == "g,fraction"
         assert lines[1].startswith("0,")
+
+
+class TestStderr:
+    def test_two_pass_survives_a_large_offset(self):
+        # sum of squares ~3e16 is past 2**53, where a one-pass variance cancels
+        values = [1e8, 1e8 + 1, 1e8 + 2]
+        assert _stderr(values, math.fsum(values) / 3) == pytest.approx(math.sqrt(1 / 3), rel=1e-12)
+
+    def test_single_value_has_no_stderr(self):
+        assert math.isnan(_stderr([0.5], 0.5))
+
+    def test_probe_stderr_is_two_pass_over_runs(self):
+        m, d, runs, seed = 9, 3, 40, 5
+        stream = ["a", "b", "a", "c"] * 10
+        errors: dict = {}
+        absent = []
+        for run in range(runs):
+            rng = substream(seed, run)
+            table = IdealHashTable(SketchConfig(m, d))
+            selections = [table.select(item, rng) for item in stream]
+            values = [0] * m
+            _run_steps(values, selections, _VARIANT_CODES["cu"], 0)
+            for item, subset in table.assignments.items():
+                err = min(values[i] for i in subset) - stream.count(item)
+                errors.setdefault(item, []).append(err)
+            absent.append(expected_min_over_subsets(values, d))
+        report = worst_case_probe(m, d, stream, runs, seed)
+        for stats in report.items:
+            expected = np.std(errors[stats.item], ddof=1) / math.sqrt(runs)
+            assert stats.stderr == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert report.absent_stderr == pytest.approx(
+            np.std(absent, ddof=1) / math.sqrt(runs), rel=1e-12
+        )
 
 
 class TestSandwich:
