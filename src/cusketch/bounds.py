@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,14 +89,6 @@ def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
     for pi in occupancy_sequence(kernel, T):
         occupied += pi
     return float(occupied @ kernel.r) / T
-
-
-def expected_error(m: int, d: int, g: int, T: int, variant: str) -> float:
-    """The finite-horizon bound: lower for "lb", upper for "ub"."""
-    check_kernel_size(m, d, g)
-    space = enumerate_states(m, d, g)
-    kernel = build_kernel(space, variant)
-    return expected_error_from_kernel(kernel, T)
 
 
 def stationary(
@@ -190,48 +182,56 @@ def _stationary_direct(pt: sp.csr_matrix, n: int) -> np.ndarray:
     return np.asarray(sol)
 
 
-def asymptotic_error_from_kernel(kernel: TransitionKernel, tol: float = 1e-12) -> float:
-    pi = stationary(kernel, tol=tol)
-    return float(pi @ kernel.r)
+class ChainValue(NamedTuple):
+    """One chain's bound, its event count and the wall time to build and evaluate it."""
+
+    value: float
+    n_edges: int
+    seconds: float
+
+
+def chain_values(
+    m: int,
+    d: int,
+    g: int,
+    T: int | None,
+    variants: Sequence[str] = ("lb", "ub"),
+    tol: float = 1e-12,
+) -> dict[str, ChainValue]:
+    """Evaluate each variant's chain at horizon T, or in the limit for T=None.
+
+    The size guard runs and the state space is enumerated once for all
+    variants. Each kernel is dropped before the next is built, so only one
+    is held at a time.
+    """
+    check_kernel_size(m, d, g)
+    space = enumerate_states(m, d, g)
+    chains = {}
+    for variant in variants:
+        start = time.perf_counter()
+        kernel = build_kernel(space, variant)
+        if T is None:
+            value = float(stationary(kernel, tol=tol) @ kernel.r)
+        else:
+            value = expected_error_from_kernel(kernel, T)
+        chains[variant] = ChainValue(value, kernel.n_edges, time.perf_counter() - start)
+        del kernel  # hold one chain at a time
+    return chains
+
+
+def expected_error(m: int, d: int, g: int, T: int, variant: str) -> float:
+    """The finite-horizon bound: lower for "lb", upper for "ub"."""
+    return chain_values(m, d, g, T, (variant,))[variant].value
 
 
 def asymptotic_error(
     m: int, d: int, g: int, variant: str, tol: float = 1e-12
 ) -> float:
     """Long-run bound: the limit of the finite-horizon bound as T grows."""
-    check_kernel_size(m, d, g)
-    space = enumerate_states(m, d, g)
-    kernel = build_kernel(space, variant)
-    return asymptotic_error_from_kernel(kernel, tol=tol)
+    return chain_values(m, d, g, None, (variant,), tol)[variant].value
 
 
 def compute_bounds(m: int, d: int, g: int, T: int | None) -> BoundResult:
-    """Both bounds with per-variant wall times; T=None means the T -> oo limit.
-
-    Each chain's kernel is dropped before the next is built, so only one is
-    held at a time.
-    """
-    check_kernel_size(m, d, g)
-    space = enumerate_states(m, d, g)
-    results = {}
-    timings = {}
-    for variant in ("lb", "ub"):
-        start = time.perf_counter()
-        kernel = build_kernel(space, variant)
-        if T is None:
-            value = asymptotic_error_from_kernel(kernel)
-        else:
-            value = expected_error_from_kernel(kernel, T)
-        del kernel
-        timings[variant] = time.perf_counter() - start
-        results[variant] = value
-    return BoundResult(
-        m=m,
-        d=d,
-        g=g,
-        T=T,
-        lower=results["lb"],
-        upper=results["ub"],
-        lower_seconds=timings["lb"],
-        upper_seconds=timings["ub"],
-    )
+    """Both bounds with per-variant wall times; T=None means the T -> oo limit."""
+    lb, ub = chain_values(m, d, g, T).values()
+    return BoundResult(m, d, g, T, lb.value, ub.value, lb.seconds, ub.seconds)

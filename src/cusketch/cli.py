@@ -26,14 +26,14 @@ import time
 import numpy as np
 
 from . import closed_form as cf
-from .bounds import asymptotic_error, compute_bounds
+from .bounds import chain_values, compute_bounds
 from .errors import (
     ConfigurationError,
     InvalidEventError,
     NonConvergenceError,
     OracleSizeError,
 )
-from .kernel import build_kernel, check_kernel_size
+from .kernel import build_kernel
 from .simulate import (
     SimConfig,
     brute_force_expected_error,
@@ -102,31 +102,31 @@ def _record(command: str, parameters: dict, results: dict, started: float) -> di
     }
 
 
+def _variants(args) -> tuple[str, ...]:
+    return ("lb", "ub") if args.variant == "both" else (args.variant,)
+
+
+def _bound_key(variant: str) -> str:
+    return "lower" if variant == "lb" else "upper"
+
+
 def _cmd_bounds(args) -> int:
     started = time.perf_counter()
-    variants = ["lb", "ub"] if args.variant == "both" else [args.variant]
-    check_kernel_size(args.m, args.d, args.g)
-    space = enumerate_states(args.m, args.d, args.g)
-    results: dict = {"n_states": len(space)}
-    for variant in variants:
-        t0 = time.perf_counter()
-        kernel = build_kernel(space, variant)
-        from .bounds import expected_error_from_kernel
-
-        value = expected_error_from_kernel(kernel, args.t)
-        results["lower" if variant == "lb" else "upper"] = value
-        results[f"{variant}_edges"] = kernel.n_edges
-        results[f"{variant}_seconds"] = time.perf_counter() - t0
+    variants = _variants(args)
+    chains = chain_values(args.m, args.d, args.g, args.t, variants)
+    results: dict = {"n_states": state_space_size(args.m, args.d, args.g)}
+    for variant, chain in chains.items():
+        results[_bound_key(variant)] = chain.value
+        results[f"{variant}_edges"] = chain.n_edges
+        results[f"{variant}_seconds"] = chain.seconds
         if args.dump_kernel:
             path = args.dump_kernel
             if len(variants) > 1:
-                path = f"{path}.{variant}.json" if not path.endswith(".json") else path.replace(
-                    ".json", f".{variant}.json"
-                )
+                path = f"{path.removesuffix('.json')}.{variant}.json"
+            kernel = build_kernel(enumerate_states(args.m, args.d, args.g), variant)
             with open(path, "w") as fh:
                 json.dump(kernel.to_dict(), fh)
             results[f"{variant}_kernel_dump"] = path
-        del kernel  # hold one chain at a time
     record = _record(
         "bounds",
         {"m": args.m, "d": args.d, "g": args.g, "t": args.t, "variant": args.variant},
@@ -139,11 +139,10 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_asymptotic(args) -> int:
     started = time.perf_counter()
-    variants = ["lb", "ub"] if args.variant == "both" else [args.variant]
+    chains = chain_values(args.m, args.d, args.g, None, _variants(args), args.tol)
     results = {"n_states": state_space_size(args.m, args.d, args.g), "tol": args.tol}
-    for variant in variants:
-        value = asymptotic_error(args.m, args.d, args.g, variant, tol=args.tol)
-        results["lower" if variant == "lb" else "upper"] = value
+    for variant, chain in chains.items():
+        results[_bound_key(variant)] = chain.value
     record = _record(
         "asymptotic",
         {"m": args.m, "d": args.d, "g": args.g, "variant": args.variant, "tol": args.tol},
@@ -255,16 +254,13 @@ def _cmd_table1(args) -> int:
 
 def _verify_checks(level: str):
     """Yield (name, passed) pairs for the cross-check suite."""
-    from .bounds import expected_error
-
     oracle_cases = [(3, 2, 1), (3, 2, 2), (4, 2, 1)]
     if level == "full":
         oracle_cases = [(m, 2, T) for m in (3, 4) for T in (1, 2, 3)]
     for m, d, T in oracle_cases:
         exact = float(brute_force_expected_error(m, d, T).per_step)
         ok = all(
-            abs(expected_error(m, d, T, T, variant) - exact) <= 1e-10
-            for variant in ("lb", "ub")
+            abs(chain.value - exact) <= 1e-10 for chain in chain_values(m, d, T, T).values()
         )
         yield f"oracle-equivalence m={m} d={d} T={T}", ok
 
@@ -293,11 +289,10 @@ def _verify_checks(level: str):
     mmax = 20 if level == "full" else 8
     ok = True
     for m in range(3, mmax + 1):
-        lo, hi = cf.g1_asymptotic(m)
-        if abs(asymptotic_error(m, m - 1, 1, "lb") - lo) > 1e-10:
-            ok = False
-        if abs(asymptotic_error(m, m - 1, 1, "ub") - hi) > 1e-10:
-            ok = False
+        chains = chain_values(m, m - 1, 1, None)
+        for chain, exact in zip(chains.values(), cf.g1_asymptotic(m)):
+            if abs(chain.value - exact) > 1e-10:
+                ok = False
     yield f"closed-form-vs-markov m<={mmax}", ok
 
     if level == "full":
@@ -367,7 +362,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("table1", help="bound table for m=50, d=4, T=250")
-    p.add_argument("--gmax", type=int, default=3)
+    p.add_argument("--gmax", type=int, choices=range(1, 6), default=3)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_table1)
 
@@ -382,8 +377,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand == "table1" and not 1 <= args.gmax <= 5:
-            raise _CliError("--gmax must be in [1, 5]")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

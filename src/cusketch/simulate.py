@@ -22,8 +22,6 @@ results.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -69,7 +67,6 @@ class SimConfig:
     seed: int
     variant: str = "cu"  # "cu", "lb", or "ub"
     g: int | None = None  # required for lb/ub
-    retain_per_run: bool = True
 
     def __post_init__(self):
         SketchConfig(self.m, self.d)
@@ -126,10 +123,7 @@ class SimStats:
 
 def expected_min_over_subsets(values: Sequence[int], d: int) -> float:
     """Exact E[min over a uniformly random d-subset] of the given counters."""
-    y = sorted(values)
-    m = len(y)
-    total = math.comb(m, d)
-    return sum(y[r - 1] * math.comb(m - r, d - 1) for r in range(1, m - d + 2)) / total
+    return _expected_min_numerator(values, d) / math.comb(len(values), d)
 
 
 def _expected_min_numerator(values: Sequence[int], d: int) -> int:
@@ -229,14 +223,6 @@ def _run_one(config: SimConfig, run_index: int) -> tuple[float, float, np.ndarra
     return traj.conditional_error, traj.counter_rate, tail_counts
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CU_BOUND_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _stderr(values: Sequence[float], mean: float) -> float:
     """Standard error of the mean from the two-pass sample variance; NaN below two values."""
     n = len(values)
@@ -247,13 +233,7 @@ def _stderr(values: Sequence[float], mean: float) -> float:
 
 def estimate_error(config: SimConfig) -> SimStats:
     """Average the exact conditional errors over independent seeded runs."""
-    workers = _worker_count()
-    indices = range(config.runs)
-    if workers > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [config] * config.runs, indices, chunksize=8))
-    else:
-        results = [_run_one(config, i) for i in indices]
+    results = [_run_one(config, i) for i in range(config.runs)]
 
     errors = [err / config.T for err, _, _ in results]
     rates = [rate for _, rate, _ in results]
@@ -270,8 +250,8 @@ def estimate_error(config: SimConfig) -> SimStats:
         stderr_error_rate=_stderr(errors, mean),
         mean_counter_rate=math.fsum(rates) / len(rates),
         gap_histogram=histogram,
-        per_run_errors=errors if config.retain_per_run else [],
-        per_run_counter_rates=rates if config.retain_per_run else [],
+        per_run_errors=errors,
+        per_run_counter_rates=rates,
     )
 
 

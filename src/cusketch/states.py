@@ -23,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import SketchConfig
 from .errors import ConfigurationError
 
 DeltaState = tuple[int, ...]
@@ -33,10 +34,7 @@ def state_space_size(m: int, d: int, g: int) -> int:
 
 
 def validate_params(m: int, d: int, g: int) -> None:
-    if m < 2:
-        raise ConfigurationError(f"m must be >= 2, got {m}")
-    if not 1 <= d <= m:
-        raise ConfigurationError(f"d must be in [1, m={m}], got {d}")
+    SketchConfig(m, d)
     if g < 1:
         raise ConfigurationError(
             f"gap cap g must be >= 1, got {g} (the capped update rules are "

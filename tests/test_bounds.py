@@ -6,6 +6,7 @@ import cusketch.bounds
 from cusketch.bounds import (
     _stationary_direct,
     asymptotic_error,
+    chain_values,
     compute_bounds,
     evolve_occupancy,
     expected_error,
@@ -241,3 +242,22 @@ class TestComputeBounds:
         res = compute_bounds(3, 2, 1, None)
         assert res.lower == pytest.approx(2 / 5, abs=1e-10)
         assert res.upper == pytest.approx(3 / 5, abs=1e-10)
+
+    @pytest.mark.parametrize("T", [40, None])
+    def test_one_kernel_alive_at_a_time(self, kernel_refs, T):
+        compute_bounds(6, 2, 2, T)
+        assert len(kernel_refs) == 2
+        assert all(ref() is None for ref in kernel_refs)
+
+
+class TestChainValues:
+    def test_views_agree_with_the_single_entry_point(self):
+        chains = chain_values(6, 2, 2, 40)
+        assert list(chains) == ["lb", "ub"]
+        space = enumerate_states(6, 2, 2)
+        for variant, chain in chains.items():
+            assert chain.value == expected_error(6, 2, 2, 40, variant)
+            assert chain.n_edges == build_kernel(space, variant).n_edges
+            assert chain.seconds >= 0
+        res = compute_bounds(6, 2, 2, 40)
+        assert (res.lower, res.upper) == (chains["lb"].value, chains["ub"].value)

@@ -93,6 +93,33 @@ class TestBounds:
         assert out == "" and "guard" in err
 
 
+    def test_one_kernel_alive_at_a_time(self, capsys, kernel_refs):
+        rc, _, _ = run(capsys, "bounds", "--m", "6", "--d", "2", "--g", "2", "--t", "5")
+        assert rc == EXIT_OK
+        assert len(kernel_refs) == 2
+        assert all(ref() is None for ref in kernel_refs)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--m", "6", "--d", "2", "--g", "2", "--t", "5"],
+        ["asymptotic", "--m", "6", "--d", "2", "--g", "2"],
+    ])
+    def test_state_space_enumerated_once(self, capsys, monkeypatch, argv):
+        import cusketch.cli as cli_mod
+
+        calls = []
+        real = cusketch.bounds.enumerate_states
+
+        def enumerate_states(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, "enumerate_states", enumerate_states)
+        monkeypatch.setattr(cusketch.bounds, "enumerate_states", enumerate_states)
+        rc, _, _ = run(capsys, *argv)
+        assert rc == EXIT_OK
+        assert calls == [(6, 2, 2)]
+
+
 class TestAsymptotic:
     def test_two_state_limits(self, capsys):
         rc, out, _ = run(capsys, "asymptotic", "--m", "3", "--d", "2", "--g", "1")

@@ -212,19 +212,6 @@ class TestEstimateError:
         assert 0.0 <= s1.mean_error_rate <= 1.0
         assert s1.gap_histogram[1] >= s1.gap_histogram[2]
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        config = SimConfig(m=5, d=2, T=100, runs=6, seed=4)
-        serial = estimate_error(config)
-        monkeypatch.setenv("CU_BOUND_THREADS", "3")
-        parallel = estimate_error(config)
-        assert parallel.mean_error_rate == serial.mean_error_rate
-        assert parallel.per_run_errors == serial.per_run_errors
-
-    def test_retain_flag_drops_per_run_lists(self):
-        config = SimConfig(m=4, d=2, T=50, runs=3, seed=5, retain_per_run=False)
-        stats = estimate_error(config)
-        assert stats.per_run_errors == []
-
     def test_pinned_seeded_record(self):
         stats = estimate_error(SimConfig(m=50, d=4, T=250, runs=20, seed=1))
         assert stats.to_dict() == {
