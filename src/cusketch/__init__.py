@@ -30,7 +30,6 @@ from .simulate import (
     SimStats,
     brute_force_expected_error,
     estimate_error,
-    gap_tail_probe,
     run_trajectory,
     sandwich_trace,
     worst_case_probe,
@@ -82,7 +81,6 @@ __all__ = [
     "gamma_lb",
     "gamma_ub",
     "gap",
-    "gap_tail_probe",
     "lb_update",
     "query",
     "run_trajectory",

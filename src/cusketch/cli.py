@@ -27,12 +27,7 @@ import numpy as np
 
 from . import closed_form as cf
 from .bounds import chain_values, compute_bounds
-from .errors import (
-    ConfigurationError,
-    InvalidEventError,
-    NonConvergenceError,
-    OracleSizeError,
-)
+from .errors import ConfigurationError, NonConvergenceError, OracleSizeError
 from .kernel import build_kernel
 from .simulate import (
     SimConfig,
@@ -155,15 +150,15 @@ def _cmd_asymptotic(args) -> int:
 
 def _cmd_closed_form(args) -> int:
     started = time.perf_counter()
-    summary = cf.summarize(args.m)
+    g1_lower, g1_upper = cf.g1_asymptotic(args.m)
     gmax = args.g if args.g is not None else 10
     results = {
         "pi": [cf.bd_limiting(args.m, f) for f in range(11)],
-        "error_rate": summary.error_rate,
-        "counter_rate": summary.counter_rate,
+        "error_rate": cf.bd_error_rate(args.m),
+        "counter_rate": cf.bd_growth_rate(args.m) / args.m,
         "gap_tail": {str(g): cf.bd_gap_tail(args.m, g) for g in range(1, gmax + 1)},
-        "g1_lower": summary.g1_lower,
-        "g1_upper": summary.g1_upper,
+        "g1_lower": g1_lower,
+        "g1_upper": g1_upper,
     }
     record = _record("closed-form", {"m": args.m, "g": args.g}, results, started)
     _emit(record, args.format)
@@ -381,7 +376,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigurationError, InvalidEventError, OracleSizeError) as exc:
+    except (ConfigurationError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:

@@ -10,8 +10,6 @@ g = 1 the capped-chain limits are (m - 1)/(2m - 1) and m/(2m - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConfigurationError, InternalConsistencyError
 
 _SERIES_TOL = 1e-12
@@ -103,25 +101,3 @@ def g1_asymptotic(m: int) -> tuple[float, float]:
     if m < 2:
         raise ConfigurationError(f"m must be >= 2, got {m}")
     return (m - 1) / (2 * m - 1), m / (2 * m - 1)
-
-
-@dataclass(frozen=True)
-class BirthDeathSummary:
-    """All d = m - 1 closed forms for one m, bundled for reporting."""
-
-    m: int
-    error_rate: float
-    counter_rate: float
-    g1_lower: float
-    g1_upper: float
-
-
-def summarize(m: int) -> BirthDeathSummary:
-    lower, upper = g1_asymptotic(m)
-    return BirthDeathSummary(
-        m=m,
-        error_rate=bd_error_rate(m),
-        counter_rate=bd_growth_rate(m) / m,
-        g1_lower=lower,
-        g1_upper=upper,
-    )

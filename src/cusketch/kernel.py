@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,10 +27,8 @@ ROW_SUM_TOL = 1e-12
 KERNEL_BYTES_GUARD = 2 * 2**30
 # Bytes per stored edge of P^T: a float64 probability and an int32 index.
 BYTES_PER_EDGE = 12
-# Sources are handled in blocks of at most this many (large events are
-# split), and targets are checked and ranked in batches of at least this many
-# (small events are joined), so a tiny chain pays NumPy's per-call cost once
-# rather than once per event and a large one keeps its temporaries in cache.
+# Each event's sources are handled in blocks of at most this many, so a
+# large chain keeps each block's temporaries small enough to stay in cache.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -145,11 +143,6 @@ class TransitionKernel:
             beta=np.concatenate(beta),
         )
 
-    def edges_from(self, i: int) -> Iterator[tuple[int, int, int, float, float]]:
-        e = self.edges()
-        for j in np.flatnonzero(e.src == i):
-            yield int(e.dst[j]), int(e.v[j]), int(e.c[j]), float(e.p[j]), float(e.beta[j])
-
     def to_dict(self) -> dict:
         """JSON-serializable layout: {m, d, g, variant, states, edges}."""
         return {
@@ -212,92 +205,66 @@ def _levels_above(space: StateSpace):
         yield v, kv, space.m - below
 
 
-def _event_blocks(space: StateSpace):
-    """Yield (v, k_v, above, c, src) per event (v, c) and block of sources.
+def _live(kv: np.ndarray, above: np.ndarray, c: int, d: int) -> np.ndarray:
+    """Mask of states where event (v, c) has positive probability.
 
-    Event (v, c) has positive probability C(k_v, c) C(above, d - c) / C(m, d)
-    exactly where k_v >= c and above = sum_{l > v} k_l >= d - c. Its sources
-    come in ascending blocks of at most _BLOCK_ROWS, which keeps each
-    block's temporaries small enough to stay in cache.
+    That probability is C(k_v, c) C(above, d - c) / C(m, d), with above =
+    sum_{l > v} k_l, so the event is live exactly where k_v >= c and
+    above >= d - c.
     """
-    for v, kv, above in _levels_above(space):
-        for c in range(1, space.d + 1):
-            live = np.flatnonzero((kv >= c) & (above >= space.d - c))
-            for start in range(0, len(live), _BLOCK_ROWS):
-                yield v, kv, above, c, live[start : start + _BLOCK_ROWS]
+    return (kv >= c) & (above >= d - c)
 
 
-def _event_targets(space: StateSpace, variant: str):
-    """Yield (v, c, src, targets, p, beta) per block of `_event_blocks`."""
+def _event_pass(space: StateSpace, variant: str):
+    """Yield (v, c, src, dst, p, beta) per event (v, c) and block of sources.
+
+    Events come in (v, c) ascending order and each event's live sources in
+    ascending blocks of at most _BLOCK_ROWS. Any target outside the state
+    space aborts: the Gamma maps are closed on it by construction, and the
+    membership check is what makes this a closure check (rank alone would
+    alias a non-member onto some index).
+    """
     m, d, g = space.m, space.d, space.g
     states = space.states
     comb = _comb_table(m, d)
     denom = float(math.comb(m, d))
-    for v, kv, above, c, rows in _event_blocks(space):
-        above_r = above[rows]
-        p = comb[kv[rows], c] * comb[above_r, d - c] / denom
-        beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
+    for v, kv, above in _levels_above(space):
+        for c in range(1, d + 1):
+            live = np.flatnonzero(_live(kv, above, c, d))
+            for start in range(0, len(live), _BLOCK_ROWS):
+                rows = live[start : start + _BLOCK_ROWS]
+                above_r = above[rows]
+                p = comb[kv[rows], c] * comb[above_r, d - c] / denom
+                beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
 
-        targets = states.T[:, rows].T  # a column-major copy, like `states`
-        if v == g and c == d:
-            if variant == "lb":
-                # frozen: self-loop, no error growth
-                beta = np.zeros(len(rows))
-            else:
-                beta = (1 + denom - comb[m - targets[:, 0], d]) / denom
-                # (k_0 + k_1, k_2, ..., k_g - d, d); (m - d, d) when g = 1
-                targets = _shift_down(targets)
-                targets[:, g - 1] -= d
-                targets[:, g] = d
-        elif v == 0:
-            full_min = targets[:, 0] == c
-            moved = ~full_min
-            targets[full_min] = _shift_down(targets[full_min])
-            targets[moved, 0] -= c
-            targets[moved, 1] += c
-        else:
-            targets[:, v] -= c
-            targets[:, v + 1] += c
-        yield v, c, rows, targets, p, beta
+                targets = states.T[:, rows].T  # a column-major copy, like `states`
+                if v == g and c == d:
+                    if variant == "lb":
+                        # frozen: self-loop, no error growth
+                        beta = np.zeros(len(rows))
+                    else:
+                        beta = (1 + denom - comb[m - targets[:, 0], d]) / denom
+                        # (k_0 + k_1, k_2, ..., k_g - d, d); (m - d, d) when g = 1
+                        targets = _shift_down(targets)
+                        targets[:, g - 1] -= d
+                        targets[:, g] = d
+                elif v == 0:
+                    full_min = targets[:, 0] == c
+                    moved = ~full_min
+                    targets[full_min] = _shift_down(targets[full_min])
+                    targets[moved, 0] -= c
+                    targets[moved, 1] += c
+                else:
+                    targets[:, v] -= c
+                    targets[:, v + 1] += c
 
-
-def _resolve(space: StateSpace, batch: list):
-    """Turn a batch of events' target states into indices, checking closure.
-
-    Any target outside the state space aborts: the Gamma maps are closed on
-    it by construction, and the membership check is what makes this a
-    closure check (rank alone would alias a non-member onto some index).
-    """
-    if not batch:
-        return
-    targets = batch[0][3] if len(batch) == 1 else np.concatenate([e[3] for e in batch])
-    outside = ~space.contains(targets)
-    if outside.any():
-        raise InternalConsistencyError(
-            f"transition target left the state space: "
-            f"{targets[np.flatnonzero(outside)[0]].tolist()}"
-        )
-    dst = space.rank(targets)
-    start = 0
-    for v, c, src, _, p, beta in batch:
-        yield v, c, src, dst[start : start + len(src)], p, beta
-        start += len(src)
-
-
-def _event_pass(space: StateSpace, variant: str):
-    """Yield (v, c, src, dst, p, beta) per event (v, c), sources ascending.
-
-    Targets are resolved in batches of at least _BLOCK_ROWS, so a small
-    chain checks and ranks all its targets in one call.
-    """
-    batch, size = [], 0
-    for event in _event_targets(space, variant):
-        batch.append(event)
-        size += len(event[2])
-        if size >= _BLOCK_ROWS:
-            yield from _resolve(space, batch)
-            batch, size = [], 0
-    yield from _resolve(space, batch)
+                outside = ~space.contains(targets)
+                if outside.any():
+                    raise InternalConsistencyError(
+                        f"transition target left the state space: "
+                        f"{targets[np.flatnonzero(outside)[0]].tolist()}"
+                    )
+                yield v, c, rows, space.rank(targets), p, beta
 
 
 def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
@@ -312,8 +279,8 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     n = len(space)
     per_state = np.zeros(n, dtype=np.int64)
     for _, kv, above in _levels_above(space):
-        # events (v, c) with max(1, d - above) <= c <= min(d, k_v)
-        per_state += np.maximum(np.minimum(kv, space.d) - np.maximum(space.d - above, 1) + 1, 0)
+        for c in range(1, space.d + 1):
+            per_state += _live(kv, above, c, space.d)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(per_state, out=indptr[1:])
     n_edges = int(indptr[-1])

@@ -350,16 +350,6 @@ def worst_case_probe(
     return WorstCaseReport(items=items, absent_mean=absent_mean, absent_stderr=absent_se, ok=ok)
 
 
-def gap_tail_probe(m: int, T: int, seed: int) -> dict[int, float]:
-    """Empirical gap-tail fractions along one long CU trajectory at d = m - 1."""
-    config = SimConfig(m=m, d=m - 1, T=T, runs=1, seed=seed, variant="cu")
-    traj = run_trajectory(config, 0)
-    return {
-        level: float((traj.gap_trace >= level).sum()) / T
-        for level in range(1, GAP_HISTOGRAM_LEVELS + 1)
-    }
-
-
 @dataclass(frozen=True)
 class OracleResult:
     m: int

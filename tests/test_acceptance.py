@@ -30,7 +30,6 @@ from cusketch.simulate import (
     SimConfig,
     brute_force_expected_error,
     estimate_error,
-    gap_tail_probe,
     sandwich_trace,
     substream,
     worst_case_probe,
@@ -155,7 +154,7 @@ def test_criterion_4_closed_form_agreement(capsys):
 def test_criterion_5_long_run_rates(capsys):
     m, T = 10, 10**5
     stats = estimate_error(SimConfig(m=m, d=m - 1, T=T, runs=1, seed=7, variant="cu"))
-    tails = gap_tail_probe(m=m, T=T, seed=7)
+    tails = stats.gap_histogram
     ok = abs(stats.mean_error_rate - 0.5) < 0.01
     ok = ok and abs(stats.mean_counter_rate - 0.5) < 0.01
     details = [

@@ -148,6 +148,9 @@ class TestClosedForm:
         record = json.loads(out)
         assert float(record["results"]["pi"][0]) == pytest.approx(1 / 4)
         assert float(record["results"]["g1_lower"]) == pytest.approx(0.4)
+        assert float(record["results"]["g1_upper"]) == pytest.approx(0.6)
+        assert float(record["results"]["error_rate"]) == 0.5
+        assert float(record["results"]["counter_rate"]) == 0.5
         assert float(record["results"]["gap_tail"]["1"]) == pytest.approx(3 / 4)
 
     def test_m2_rejected(self, capsys):

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from cusketch.bounds import asymptotic_error
@@ -10,7 +8,6 @@ from cusketch.closed_form import (
     bd_limiting,
     bd_transition,
     g1_asymptotic,
-    summarize,
 )
 from cusketch.errors import ConfigurationError
 
@@ -89,9 +86,3 @@ class TestG1Asymptotic:
         lo, hi = g1_asymptotic(m)
         assert asymptotic_error(m, m - 1, 1, "lb") == pytest.approx(lo, abs=1e-10)
         assert asymptotic_error(m, m - 1, 1, "ub") == pytest.approx(hi, abs=1e-10)
-
-
-def test_summary_bundle():
-    s = summarize(10)
-    assert s.error_rate == 0.5 and s.counter_rate == 0.5
-    assert math.isclose(s.g1_upper - s.g1_lower, 1 / 19)

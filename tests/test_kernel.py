@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cusketch.kernel as kernel_mod
-from cusketch.errors import ConfigurationError, InvalidEventError
+from cusketch.errors import ConfigurationError, InternalConsistencyError, InvalidEventError
 from cusketch.kernel import (
     beta_lb,
     beta_ub,
@@ -99,23 +99,28 @@ class TestBeta:
                             assert 0.0 <= beta(k, v, c, m, d) <= 1.0
 
 
+def _rows_by_source(kernel):
+    """Each source state's edges as sorted (dst, v, c, p, beta) tuples."""
+    rows = {}
+    for src, dst, v, c, p, b in zip(*kernel.edges()):
+        rows.setdefault(int(src), []).append((int(dst), int(v), int(c), float(p), float(b)))
+    return {src: sorted(edges) for src, edges in rows.items()}
+
+
 class TestBuildKernel:
     def test_lb_rows_for_two_state_chain(self):
         space = enumerate_states(3, 2, 1)
-        kernel = build_kernel(space, "lb")
-        start = sorted(kernel.edges_from(0))
-        assert start == [(1, 0, 2, pytest.approx(1.0), pytest.approx(1 / 3))]
-        other = sorted(kernel.edges_from(1))
-        assert other == [
+        rows = _rows_by_source(build_kernel(space, "lb"))
+        assert rows[0] == [(1, 0, 2, pytest.approx(1.0), pytest.approx(1 / 3))]
+        assert rows[1] == [
             (0, 0, 1, pytest.approx(2 / 3), pytest.approx(2 / 3)),
             (1, 1, 2, pytest.approx(1 / 3), 0.0),
         ]
 
     def test_ub_rows_for_two_state_chain(self):
         space = enumerate_states(3, 2, 1)
-        kernel = build_kernel(space, "ub")
-        other = sorted(kernel.edges_from(1))
-        assert other == [
+        rows = _rows_by_source(build_kernel(space, "ub"))
+        assert rows[1] == [
             (0, 0, 1, pytest.approx(2 / 3), pytest.approx(2 / 3)),
             (1, 1, 2, pytest.approx(1 / 3), pytest.approx(1.0)),
         ]
@@ -151,10 +156,11 @@ class TestBuildKernel:
     def test_edge_count_bound_per_row(self):
         space = enumerate_states(7, 3, 2)
         kernel = build_kernel(space, "lb")
+        per_row = np.bincount(kernel.edges().src, minlength=len(space))
         for i in range(len(space)):
             k = space.state(i)
             bound = sum(min(3, kv) for kv in k if kv >= 1)
-            assert len(list(kernel.edges_from(i))) <= bound
+            assert per_row[i] <= bound
 
 
     @pytest.mark.parametrize("m,d,g", [(6, 3, 2), (5, 5, 2), (8, 1, 3), (9, 4, 1)])
@@ -191,6 +197,51 @@ class TestBuildKernel:
         assert pt.indices.dtype == np.int32 and pt.indptr.dtype == np.int32
         stored = pt.data.nbytes + pt.indices.nbytes + pt.indptr.nbytes + kernel.r.nbytes
         assert stored / kernel.n_edges <= 14
+
+
+class TestBuildChecks:
+    """Each consistency check of `build_kernel` trips on an injected fault."""
+
+    def test_closure(self, monkeypatch):
+        shift_down = kernel_mod._shift_down
+
+        def off_by_one(k):
+            out = shift_down(k)
+            out[:, 0] += 1
+            return out
+
+        monkeypatch.setattr(kernel_mod, "_shift_down", off_by_one)
+        with pytest.raises(InternalConsistencyError, match="left the state space"):
+            build_kernel(enumerate_states(6, 3, 2), "lb")
+
+    def test_row_sums(self, monkeypatch):
+        comb_table = kernel_mod._comb_table
+        monkeypatch.setattr(kernel_mod, "_comb_table", lambda n, r: comb_table(n, r) * 1.001)
+        with pytest.raises(InternalConsistencyError, match="row sums deviate"):
+            build_kernel(enumerate_states(6, 3, 2), "lb")
+
+    def test_beta_range(self, monkeypatch):
+        # C(n, r) = -1 instead of 0 for n < r: the liveness rule keeps every
+        # event probability off those entries, but beta's C(above, d) term
+        # reads them; at d = m the single event's beta becomes 2
+        comb_table = kernel_mod._comb_table
+
+        def negative_zeros(n, r):
+            table = comb_table(n, r)
+            table[table == 0] = -1
+            return table
+
+        monkeypatch.setattr(kernel_mod, "_comb_table", negative_zeros)
+        space = enumerate_states(5, 5, 2)
+        row_sums = np.zeros(len(space))
+        betas = []
+        for _, _, src, _, p, beta in kernel_mod._event_pass(space, "lb"):
+            np.add.at(row_sums, src, p)
+            betas.append(beta)
+        assert np.abs(row_sums - 1.0).max() <= kernel_mod.ROW_SUM_TOL
+        assert np.concatenate(betas).max() > 1
+        with pytest.raises(InternalConsistencyError, match="beta values escaped"):
+            build_kernel(space, "lb")
 
 
 class TestSizeGuard:

@@ -18,7 +18,6 @@ from cusketch.simulate import (
     brute_force_expected_error,
     estimate_error,
     expected_min_over_subsets,
-    gap_tail_probe,
     mix64,
     run_trajectory,
     sandwich_trace,
@@ -346,7 +345,8 @@ class TestWorstCaseProbe:
 class TestGapTail:
     def test_long_run_matches_birth_death_tail(self):
         m, T = 8, 200_000
-        tails = gap_tail_probe(m=m, T=T, seed=2024)
+        config = SimConfig(m=m, d=m - 1, T=T, runs=1, seed=2024, variant="cu")
+        tails = estimate_error(config).gap_histogram
         for g in (1, 2, 3):
             expected = bd_gap_tail(m, g)
             stderr = math.sqrt(expected * (1 - expected) / T)
