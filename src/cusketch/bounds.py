@@ -144,15 +144,24 @@ def stationary(
 
 
 def _start_vector(kernel: TransitionKernel) -> np.ndarray:
-    """ARPACK's dominant eigenvector of P^T as a distribution, else the start state.
+    """The dominant eigenvector of P^T as a distribution, else the start state.
 
-    ARPACK needs k < n - 1, so chains of one or two states, and any ARPACK
-    failure, start from the point mass on the initial state. The uniform v0
-    matters: from the point mass ARPACK converged to a wrong Ritz vector on
-    the m=50, d=4, g=3 chains.
+    ARPACK needs k < n - 1, so chains of one or two states start from the
+    solution of their balance equation, pi_0 P_01 = pi_1 P_10: from the
+    point mass, a two-state chain with lambda_2 = -(m-1)/m needs hundreds of
+    power steps. (np.linalg.eig gives the same start, but loading LAPACK's
+    eigensolver raised the peak RSS of `verify --level full` by 1.1 MB.)
+    Any ARPACK failure starts from the point mass on the initial state. The
+    uniform v0 matters: from the point mass ARPACK converged to a wrong Ritz
+    vector on the m=50, d=4, g=3 chains.
     """
     n = len(kernel.space)
-    if n >= 3:
+    vec = None
+    if n == 1:
+        vec = np.ones(1)
+    elif n == 2:
+        vec = np.array([kernel.pt[0, 1], kernel.pt[1, 0]])  # (P_10, P_01)
+    else:
         try:
             _, vecs = scipy.sparse.linalg.eigs(
                 kernel.pt, k=1, which="LM", tol=0, v0=np.full(n, 1.0 / n),
@@ -161,12 +170,14 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
         except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
             pass
         else:
-            with np.errstate(all="ignore"):
-                pi = (vecs[:, 0] / vecs[:, 0].sum()).real
-            np.clip(pi, 0.0, None, out=pi)
-            total = pi.sum()
-            if np.isfinite(total) and total > 0:
-                return pi / total
+            vec = vecs[:, 0]
+    if vec is not None:
+        with np.errstate(all="ignore"):
+            pi = (vec / vec.sum()).real
+        np.clip(pi, 0.0, None, out=pi)
+        total = pi.sum()
+        if np.isfinite(total) and total > 0:
+            return pi / total
     pi = np.zeros(n)
     pi[kernel.space.initial_index] = 1.0
     return pi

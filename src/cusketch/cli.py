@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -79,13 +80,30 @@ def _flatten(obj, prefix=""):
     return rows
 
 
+def _out(text: str) -> None:
+    """Write text to stdout and flush it.
+
+    A reader may close the pipe early (`cusketch verify | head -1`). That
+    ends the output, not the command: stdout's descriptor is pointed at
+    os.devnull, as the Python docs' note on SIGPIPE advises, so the rest of
+    the output and the exit flush go nowhere, and the command still returns
+    the status it computes.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(record: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_stringify(record), indent=2))
+        _out(json.dumps(_stringify(record), indent=2) + "\n")
     else:
-        print("key,value")
-        for key, value in _flatten(record):
-            print(f"{key},{value}")
+        rows = ["key,value"] + [f"{key},{value}" for key, value in _flatten(record)]
+        _out("\n".join(rows) + "\n")
 
 
 def _record(command: str, parameters: dict, results: dict, started: float) -> dict:
@@ -178,7 +196,7 @@ def _cmd_simulate(args) -> int:
     )
     stats = estimate_error(config)
     if args.format == "csv":
-        print(stats.to_csv(), end="")
+        _out(stats.to_csv())
         return EXIT_OK
     record = _record(
         "simulate",
@@ -304,11 +322,11 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     failures = []
     for name, ok in _verify_checks(args.level):
-        print(f"{'ok  ' if ok else 'FAIL'}  {name}")
+        _out(f"{'ok  ' if ok else 'FAIL'}  {name}\n")
         if not ok:
             failures.append(name)
-    print(f"verify {args.level}: {len(failures)} failure(s) "
-          f"in {time.perf_counter() - started:.1f} s")
+    _out(f"verify {args.level}: {len(failures)} failure(s) "
+         f"in {time.perf_counter() - started:.1f} s\n")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 

@@ -85,7 +85,11 @@ class TestStationary:
         p = two_state_lb.transition_matrix()
         assert np.abs(pi @ p - pi).max() <= 1e-12
 
-    def test_non_convergence_reported(self, two_state_lb):
+    def test_non_convergence_reported(self, two_state_lb, monkeypatch):
+        # From the point mass two power steps cannot reach 1e-15; the balance
+        # solution `_start_vector` gives a two-state chain already does.
+        point_mass = np.eye(2)[two_state_lb.space.initial_index]
+        monkeypatch.setattr(cusketch.bounds, "_start_vector", lambda kernel: point_mass)
         with pytest.raises(NonConvergenceError) as exc:
             stationary(two_state_lb, tol=1e-15, max_iters=2)
         assert exc.value.residual > 0
@@ -170,6 +174,10 @@ class TestArnoldiStart:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
         self._check(kernel)
         assert bool(calls) == arnoldi
+
+    def test_two_state_chain_starts_stationary(self, two_state_lb):
+        # lambda_2 = -2/3: from the point mass the power loop needs dozens of steps
+        assert _residual(two_state_lb, stationary(two_state_lb, max_iters=1)) <= 1e-15
 
 
 class TestAsymptotic:

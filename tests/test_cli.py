@@ -1,5 +1,7 @@
 import functools
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,6 +180,9 @@ class TestSimulate:
         lines = out.strip().splitlines()
         assert lines[0] == "run,error,counter_rate"
         assert lines[4] == "g,fraction"
+        for i, line in enumerate(lines[1:4]):
+            index, error, rate = line.split(",")
+            assert int(index) == i and float(error) >= 0.0 and float(rate) > 0.0
 
     def test_capped_variant_needs_cap(self, capsys):
         rc, _, err = run(
@@ -258,3 +263,29 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify")
         assert rc == EXIT_VERIFY_FAILED
         assert "FAIL" in out
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the output, not the command."""
+
+    def run_closed(self, monkeypatch, *argv):
+        """main(argv) writing to a pipe whose reader has gone.
+
+        sys.stdout is swapped in the test body: pytest's capture replaces it
+        again between a fixture's set-up and the test call.
+        """
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # writes now fail with BrokenPipeError
+        with open(write_fd, "w", buffering=1) as writer, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", writer)
+            return main(list(argv))
+
+    def test_record_command_returns_its_status(self, monkeypatch):
+        assert self.run_closed(monkeypatch, "closed-form", "--m", "3") == EXIT_OK
+
+    def test_verify_runs_to_its_own_status(self, monkeypatch):
+        import cusketch.cli as cli_mod
+
+        checks = [("first", True), ("second", False)]
+        monkeypatch.setattr(cli_mod, "_verify_checks", lambda level: iter(checks))
+        assert self.run_closed(monkeypatch, "verify") == EXIT_VERIFY_FAILED

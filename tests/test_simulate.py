@@ -10,8 +10,13 @@ from cusketch.closed_form import bd_gap_tail
 from cusketch.config import SketchConfig
 from cusketch.errors import ConfigurationError, OracleSizeError
 from cusketch.simulate import (
+    _BATCH_RUNS,
+    _BLOCK_STEPS,
+    _MIN_BATCH_RUNS,
     _VARIANT_CODES,
+    GAP_HISTOGRAM_LEVELS,
     SimConfig,
+    _run_rows,
     _run_steps,
     _selections,
     _stderr,
@@ -137,7 +142,15 @@ def _spec_run(m, d, variant, g, u):
 
 def _stepper_run(m, variant, g, u):
     values = [0] * m
-    return values, _run_steps(values, _selections(u, m), _VARIANT_CODES[variant], g)
+    return values, _run_steps(values, _selections(u, m).tolist(), _VARIANT_CODES[variant], g)
+
+
+def _rows_run(m, variant, g, u):
+    """Final counters and gap trace of each row of the (R, T, d) draws, stepped together."""
+    values = np.zeros((len(u), m), dtype=np.int64)
+    sel = np.stack([_selections(row, m) for row in u], axis=1)  # (T, R, d)
+    gaps = _run_rows(values, sel, _VARIANT_CODES[variant], g)
+    return list(zip(values.tolist(), gaps.tolist()))
 
 
 class TestStepperMatchesPureOperations:
@@ -163,16 +176,18 @@ class TestStepperMatchesPureOperations:
         T=st.integers(1, 60),
         variant=st.sampled_from(["cu", "lb", "ub"]),
         seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 5),
     )
-    def test_matches_spec_on_random_instances(self, m, data, g, T, variant, seed):
+    def test_matches_spec_on_random_instances(self, m, data, g, T, variant, seed, rows):
         d = data.draw(st.integers(1, m), label="d")
-        u = np.random.Generator(np.random.PCG64(seed)).random((T, d))
-        assert _stepper_run(m, variant, g, u) == _spec_run(m, d, variant, g, u)
+        u = np.random.Generator(np.random.PCG64(seed)).random((rows, T, d))
+        assert _stepper_run(m, variant, g, u[0]) == _spec_run(m, d, variant, g, u[0])
+        assert _rows_run(m, variant, g, u) == [_spec_run(m, d, variant, g, row) for row in u]
 
     def test_snapshots_record_counters_after_each_step(self):
         m, d, T = 5, 2, 40
         u = np.random.Generator(np.random.PCG64(3)).random((T, d))
-        selections = _selections(u, m)
+        selections = _selections(u, m).tolist()
         snapshots = np.empty((T, m), dtype=np.int64)
         values = [0] * m
         _run_steps(values, selections, _VARIANT_CODES["ub"], 1, snapshots)
@@ -230,6 +245,38 @@ class TestEstimateError:
         assert lines[0] == "run,error,counter_rate"
         assert lines[3] == "g,fraction"
         assert lines[1].startswith("0,")
+        for i, line in enumerate(lines[1:3]):
+            index, error, rate = line.split(",")
+            assert int(index) == i and float(error) >= 0.0 and float(rate) > 0.0
+
+    @pytest.mark.parametrize("runs", [1, _MIN_BATCH_RUNS - 1, _MIN_BATCH_RUNS, _BATCH_RUNS + 7])
+    @pytest.mark.parametrize("variant,g", [("cu", None), ("lb", 1), ("ub", 2)])
+    def test_matches_run_by_run_trajectories(self, runs, variant, g):
+        """Runs stepped alone or together in blocks give each run's own trajectory."""
+        config = SimConfig(m=7, d=3, T=_BLOCK_STEPS + 30, runs=runs, seed=13,
+                           variant=variant, g=g)
+        stats = estimate_error(config)
+        trajectories = [run_trajectory(config, r) for r in range(runs)]
+        assert stats.per_run_errors == [t.conditional_error / config.T for t in trajectories]
+        assert stats.per_run_counter_rates == [t.counter_rate for t in trajectories]
+        assert stats.gap_histogram == {
+            level: sum(int((t.gap_trace >= level).sum()) for t in trajectories)
+            / (config.T * runs)
+            for level in range(1, GAP_HISTOGRAM_LEVELS + 1)
+        }
+
+    def test_conditional_error_is_exact_on_large_counters(self):
+        # At m=64, d=32 the weights C(64 - r, 31) reach 9.2e17, so int64
+        # products of counters near 467 wrap around.
+        config = SimConfig(m=64, d=32, T=3000, runs=1, seed=3)
+        values = run_trajectory(config).values.tolist()
+        y = sorted(values)
+        exact = sum(y[r - 1] * math.comb(64 - r, 31) for r in range(1, 34)) / math.comb(64, 32)
+        assert run_trajectory(config).conditional_error == exact
+        assert min(values) <= exact <= max(values)
+        rate = estimate_error(config).mean_error_rate
+        assert rate == exact / config.T
+        assert min(values) / config.T <= rate <= max(values) / config.T
 
 
 class TestStderr:
