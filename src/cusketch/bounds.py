@@ -2,13 +2,16 @@
 
 The LB chain's time-averaged expected error increment lower-bounds the
 average estimation error of the plain conservative-update sketch; the UB
-chain's upper-bounds it. Both are computed by evolving the occupancy vector
-of the offset-histogram chain and weighting it by the per-state expected
-error increment (the row sums of P element-wise B).
+chain's upper-bounds it. With r the per-state expected error increment (the
+row sums of P element-wise B), the finite-horizon bound is
+(1/T) sum_{t<T} e_0^T P^t r. It is summed backward, h <- r + P h, which
+reads P row by row; the long-run bound weights the stationary vector of the
+chain by r.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -55,11 +58,12 @@ def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
+    pt = kernel.p.T
     pi = np.zeros(len(kernel.space))
     pi[kernel.space.initial_index] = 1.0
     for _ in range(T):
         yield pi
-        pi = kernel.pt @ pi
+        pi = pt @ pi
         total = pi.sum()
         if abs(total - 1.0) > OCCUPANCY_TOL:
             pi = pi / total
@@ -82,13 +86,19 @@ def evolve_occupancy(kernel: TransitionKernel, T: int) -> np.ndarray:
 def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
     """Average expected error increment over the first T steps.
 
-    The occupancy vectors are summed and weighted by r once at the end: one
-    dot product per step would wake a multi-threaded BLAS T times.
+    Backward induction (Puterman, Markov Decision Processes, 1994, ch. 4):
+    after j steps of h <- r + P h from h = r, h = sum_{t<=j} P^t r, so after
+    T - 1 steps h[start] / T is the bound. P is read row by row, so no P^T
+    is formed, and with P and r nonnegative no renormalization is needed.
     """
-    occupied = np.zeros(len(kernel.space))
-    for pi in occupancy_sequence(kernel, T):
-        occupied += pi
-    return float(occupied @ kernel.r) / T
+    if T < 1:
+        raise ConfigurationError(f"T must be >= 1, got {T}")
+    p, r = kernel.p, kernel.r
+    h = r.copy()
+    for _ in range(T - 1):
+        h = p @ h
+        h += r
+    return float(h[kernel.space.initial_index]) / T
 
 
 def stationary(
@@ -106,10 +116,9 @@ def stationary(
     tol. For small spaces a direct linear solve of the balance equations
     cross-checks the result.
     """
-    if tol <= 0:
-        raise ConfigurationError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     n = len(kernel.space)
-    pt = kernel.pt
+    pt = kernel.p.T
     pi = _start_vector(kernel)
     residual = np.inf
     for it in range(max_iters):
@@ -143,6 +152,12 @@ def stationary(
     return pi
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not a finite positive number, NaN included."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigurationError(f"tol must be finite and positive, got {tol}")
+
+
 def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     """The dominant eigenvector of P^T as a distribution, else the start state.
 
@@ -160,11 +175,11 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     if n == 1:
         vec = np.ones(1)
     elif n == 2:
-        vec = np.array([kernel.pt[0, 1], kernel.pt[1, 0]])  # (P_10, P_01)
+        vec = np.array([kernel.p[1, 0], kernel.p[0, 1]])  # (P_10, P_01)
     else:
         try:
             _, vecs = scipy.sparse.linalg.eigs(
-                kernel.pt, k=1, which="LM", tol=0, v0=np.full(n, 1.0 / n),
+                kernel.p.T, k=1, which="LM", tol=0, v0=np.full(n, 1.0 / n),
                 ncv=min(n, ARNOLDI_NCV),
             )
         except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
@@ -183,7 +198,7 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     return pi
 
 
-def _stationary_direct(pt: sp.csr_matrix, n: int) -> np.ndarray:
+def _stationary_direct(pt: sp.csc_matrix, n: int) -> np.ndarray:
     """Solve (P^T - I) pi = 0 with sum(pi) = 1 by replacing one equation."""
     a = (pt - sp.eye(n)).tolil()
     a[n - 1, :] = 1.0
@@ -211,10 +226,12 @@ def chain_values(
 ) -> dict[str, ChainValue]:
     """Evaluate each variant's chain at horizon T, or in the limit for T=None.
 
-    The size guard runs and the state space is enumerated once for all
-    variants. Each kernel is dropped before the next is built, so only one
-    is held at a time.
+    The tolerance and size guards run and the state space is enumerated once
+    for all variants. Each kernel is dropped before the next is built, so
+    only one is held at a time.
     """
+    if T is None:
+        _check_tol(tol)
     check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
     chains = {}

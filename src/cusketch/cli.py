@@ -238,7 +238,7 @@ def _cmd_table1(args) -> int:
     if args.gmax >= 4:
         print(
             "warning: on a 2-core 2.1 GHz Xeon --gmax 4 takes about 4 s and "
-            "--gmax 5 about 65 s, with a 1.3 GB peak",
+            "--gmax 5 about 61 s, with a 0.8 GB peak",
             file=sys.stderr,
         )
     rows = []

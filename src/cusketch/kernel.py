@@ -21,11 +21,11 @@ from .errors import ConfigurationError, InternalConsistencyError, InvalidEventEr
 from .states import DeltaState, StateSpace, state_space_size, validate_params
 
 ROW_SUM_TOL = 1e-12
-# Largest transposed transition matrix, in estimated bytes, that a chain may
-# build; see `check_kernel_size`. At m=50, d=4 the g=5 chain (about 0.7 GB)
-# passes and g=6 (about 6.8 GB) fails.
+# Largest transition matrix, in estimated bytes, that a chain may build; see
+# `check_kernel_size`. At m=50, d=4 the g=5 chain (about 0.7 GB) passes and
+# g=6 (about 6.8 GB) fails.
 KERNEL_BYTES_GUARD = 2 * 2**30
-# Bytes per stored edge of P^T: a float64 probability and an int32 index.
+# Bytes per stored edge of P: a float64 probability and an int32 index.
 BYTES_PER_EDGE = 12
 # Each event's sources are handled in blocks of at most this many, so a
 # large chain keeps each block's temporaries small enough to stay in cache.
@@ -108,23 +108,24 @@ class Edges(NamedTuple):
 
 @dataclass
 class TransitionKernel:
-    """What the bounds read of one chain variant: P^T and the reward vector.
+    """What the bounds read of one chain variant: P and the reward vector.
 
-    `pt` is the transposed transition matrix in CSR form, duplicate (src,
-    dst) pairs summed; `r` is the per-state expected error increment, the
-    row sums of P element-wise B. `n_edges` counts (state, event) pairs,
-    which can exceed `pt.nnz`. The per-event edge list is re-derived on
-    demand by `edges()`; each edge maps 1:1 to a case of the Gamma analysis.
+    `p` is the transition matrix in CSR form, one row per source state,
+    duplicate (src, dst) pairs summed; `p.T` is P^T as a CSC view of the same
+    arrays. `r` is the per-state expected error increment, the row sums of P
+    element-wise B. `n_edges` counts (state, event) pairs, which can exceed
+    `p.nnz`. The per-event edge list is re-derived on demand by `edges()`;
+    each edge maps 1:1 to a case of the Gamma analysis.
     """
 
     space: StateSpace
     variant: str  # "lb" or "ub"
     n_edges: int
-    pt: sp.csr_matrix
+    p: sp.csr_matrix
     r: np.ndarray
 
-    def transition_matrix(self) -> sp.csc_matrix:
-        return self.pt.T
+    def transition_matrix(self) -> sp.csr_matrix:
+        return self.p
 
     def expected_increment(self) -> np.ndarray:
         """Per-state expected error increment: row sums of P element-wise B."""
@@ -173,7 +174,7 @@ def _comb_table(nmax: int, rmax: int) -> np.ndarray:
 
 
 def check_kernel_size(m: int, d: int, g: int) -> None:
-    """Refuse a chain whose P^T would exceed KERNEL_BYTES_GUARD, before allocating.
+    """Refuse a chain whose P would exceed KERNEL_BYTES_GUARD, before allocating.
 
     The estimate counts (g + 1) * d events per state, an upper bound on the
     edges, at BYTES_PER_EDGE each.
@@ -268,11 +269,12 @@ def _event_pass(space: StateSpace, variant: str):
 
 
 def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
-    """Construct P^T and r from one vectorized pass over the events.
+    """Construct P and r from one vectorized pass over the events.
 
     Each state's edges are counted first, so the edges are written straight
-    into the CSR arrays of P (rows = sources) at 12 B per edge, then turned
-    into P^T. Row sums and the range of beta are checked on the way.
+    into the CSR arrays of P (rows = sources) at 12 B per edge; duplicate
+    pairs are then summed in place, so the kernel holds no second copy of
+    the matrix. Row sums and the range of beta are checked on the way.
     """
     if variant not in ("lb", "ub"):
         raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
@@ -305,9 +307,7 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     worst = float(np.abs(row_sums - 1.0).max())
     if worst > ROW_SUM_TOL:
         raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
-    # the CSR arrays of P are the CSC arrays of P^T
-    pt = sp.csc_matrix((data, cols, indptr), shape=(n, n))
+    p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     del data, cols
-    pt = pt.tocsr()
-    pt.sum_duplicates()
-    return TransitionKernel(space=space, variant=variant, n_edges=n_edges, pt=pt, r=r)
+    p.sum_duplicates()
+    return TransitionKernel(space=space, variant=variant, n_edges=n_edges, p=p, r=r)

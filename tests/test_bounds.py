@@ -10,6 +10,7 @@ from cusketch.bounds import (
     compute_bounds,
     evolve_occupancy,
     expected_error,
+    expected_error_from_kernel,
     stationary,
 )
 from cusketch.errors import ConfigurationError, NonConvergenceError
@@ -75,6 +76,23 @@ class TestExpectedError:
         assert all(lo <= up for lo, up in zip(lowers, uppers))
 
 
+class TestBackwardSum:
+    """The backward sum h <- r + P h equals the forward occupancy average."""
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    @pytest.mark.parametrize("T", [1, 37])
+    @pytest.mark.parametrize("m,d,g", [(3, 2, 1), (6, 3, 2), (9, 3, 3), (5, 5, 2)])
+    def test_matches_forward_occupancy(self, m, d, g, T, variant):
+        kernel = build_kernel(enumerate_states(m, d, g), variant)
+        forward = float((evolve_occupancy(kernel, T) @ kernel.r).mean())
+        backward = expected_error_from_kernel(kernel, T)
+        assert backward == pytest.approx(forward, rel=1e-14, abs=0)
+
+    def test_horizon_must_be_positive(self, two_state_lb):
+        with pytest.raises(ConfigurationError):
+            expected_error_from_kernel(two_state_lb, 0)
+
+
 class TestStationary:
     def test_two_state_balance(self, two_state_lb, two_state_ub):
         assert stationary(two_state_lb) == pytest.approx([2 / 5, 3 / 5], abs=1e-10)
@@ -98,6 +116,11 @@ class TestStationary:
         with pytest.raises(ConfigurationError):
             stationary(two_state_lb, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("inf")])
+    def test_tol_not_finite_and_positive(self, two_state_lb, tol):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            stationary(two_state_lb, tol=tol)
+
     def test_unreachable_tol_stops_at_rounding_floor(self):
         kernel = build_kernel(enumerate_states(6, 2, 2), "lb")
         with pytest.raises(NonConvergenceError) as exc:
@@ -107,7 +130,7 @@ class TestStationary:
 
 
 def _residual(kernel, pi):
-    return float(np.abs(kernel.pt @ pi - pi).max())
+    return float(np.abs(kernel.p.T @ pi - pi).max())
 
 
 class TestArnoldiStart:
@@ -125,7 +148,7 @@ class TestArnoldiStart:
     def _check(self, kernel, tol=1e-12):
         pi = stationary(kernel, tol=tol)
         assert _residual(kernel, pi) <= 2 * tol
-        assert np.abs(pi - _stationary_direct(kernel.pt, len(pi))).max() <= 1e-10
+        assert np.abs(pi - _stationary_direct(kernel.p.T, len(pi))).max() <= 1e-10
 
     def test_arpack_no_convergence_falls_back(self, kernel, monkeypatch):
         calls = []

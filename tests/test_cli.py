@@ -143,6 +143,21 @@ class TestAsymptotic:
         assert "residual" in err
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error_before_enumerating(
+        self, capsys, monkeypatch, tol
+    ):
+        def enumerate_states(*args):
+            raise AssertionError("enumerated a state space for an invalid tol")
+
+        monkeypatch.setattr(cusketch.bounds, "enumerate_states", enumerate_states)
+        rc, out, err = run(
+            capsys, "asymptotic", "--m", "5", "--d", "2", "--g", "2", "--tol", tol
+        )
+        assert rc == EXIT_USAGE
+        assert out == "" and "tol must be finite and positive" in err
+
+
 class TestClosedForm:
     def test_m3(self, capsys):
         rc, out, _ = run(capsys, "closed-form", "--m", "3")

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ class TestBuildKernel:
             assert kernel.n_edges == len(edges.src)
             p = sp.csr_matrix((edges.p, (edges.src, edges.dst)), shape=(n, n))
             assert abs(kernel.transition_matrix() - p).max() == 0.0
-            assert kernel.pt.has_canonical_format
+            assert kernel.p.has_canonical_format
             reward = np.zeros(n)
             np.add.at(reward, edges.src, edges.p * edges.beta)
             assert (kernel.expected_increment() == reward).all()
@@ -185,18 +186,31 @@ class TestBuildKernel:
         monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", block_rows)
         for variant, ref in whole.items():
             kernel = build_kernel(space, variant)
-            assert abs(kernel.pt - ref.pt).max() == 0.0
-            assert (kernel.pt.indices == ref.pt.indices).all()
+            assert abs(kernel.p - ref.p).max() == 0.0
+            assert (kernel.p.indices == ref.p.indices).all()
             assert (kernel.r == ref.r).all()
             for got, want in zip(kernel.edges(), ref.edges()):
                 assert (got == want).all()
 
     def test_stores_only_matrix_and_reward(self):
         kernel = build_kernel(enumerate_states(50, 4, 2), "lb")
-        pt = kernel.pt
-        assert pt.indices.dtype == np.int32 and pt.indptr.dtype == np.int32
-        stored = pt.data.nbytes + pt.indices.nbytes + pt.indptr.nbytes + kernel.r.nbytes
+        p = kernel.p
+        assert p.indices.dtype == np.int32 and p.indptr.dtype == np.int32
+        stored = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes + kernel.r.nbytes
         assert stored / kernel.n_edges <= 14
+
+    def test_build_holds_one_copy_of_the_matrix(self):
+        # A transposed second copy of P held during the build puts the ratio near 2.2.
+        space = enumerate_states(40, 4, 4)
+        tracemalloc.start()
+        try:
+            kernel = build_kernel(space, "lb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        p = kernel.p
+        stored = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes + kernel.r.nbytes
+        assert peak <= 1.8 * stored
 
 
 class TestBuildChecks:
