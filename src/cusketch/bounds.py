@@ -34,6 +34,8 @@ ARNOLDI_NCV = 20
 # 1.7 eps) on chains of 2 to 230,300 states, so a residual at or below the
 # floor is noise that no further step reduces reliably.
 RESIDUAL_FLOOR = 8 * np.finfo(float).eps
+# Power steps after which `stationary` raises NonConvergenceError.
+MAX_POWER_ITERS = 10**6
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,7 @@ def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
     return float(h[kernel.space.initial_index]) / T
 
 
-def stationary(
-    kernel: TransitionKernel,
-    tol: float = 1e-12,
-    max_iters: int = 10**6,
-) -> np.ndarray:
+def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
     """Limiting distribution by power iteration from an Arnoldi estimate.
 
     The chain is ergodic, so the iteration converges to the unique
@@ -121,7 +119,7 @@ def stationary(
     pt = kernel.p.T
     pi = _start_vector(kernel)
     residual = np.inf
-    for it in range(max_iters):
+    for it in range(MAX_POWER_ITERS):
         nxt = pt @ pi
         nxt /= nxt.sum()
         residual = float(np.abs(nxt - pi).max())
@@ -138,9 +136,9 @@ def stationary(
     else:
         raise NonConvergenceError(
             f"power iteration residual {residual:.3e} > tol {tol:.1e} "
-            f"after {max_iters} iterations",
+            f"after {MAX_POWER_ITERS} iterations",
             residual=residual,
-            iterations=max_iters,
+            iterations=MAX_POWER_ITERS,
         )
 
     if n <= DIRECT_SOLVE_LIMIT:
@@ -161,22 +159,21 @@ def _check_tol(tol: float) -> None:
 def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     """The dominant eigenvector of P^T as a distribution, else the start state.
 
-    ARPACK needs k < n - 1, so chains of one or two states start from the
-    solution of their balance equation, pi_0 P_01 = pi_1 P_10: from the
-    point mass, a two-state chain with lambda_2 = -(m-1)/m needs hundreds of
-    power steps. (np.linalg.eig gives the same start, but loading LAPACK's
-    eigensolver raised the peak RSS of `verify --level full` by 1.1 MB.)
+    ARPACK needs k < n - 1, so a two-state chain starts from the solution of
+    its balance equation, pi_0 P_01 = pi_1 P_10: from the point mass, with
+    lambda_2 = -(m-1)/m, it needs hundreds of power steps. A one-state chain
+    starts from the point mass, its stationary vector. (np.linalg.eig gives
+    the same start, but loading LAPACK's eigensolver raised the peak RSS of
+    `verify --level full` by 1.1 MB.)
     Any ARPACK failure starts from the point mass on the initial state. The
     uniform v0 matters: from the point mass ARPACK converged to a wrong Ritz
     vector on the m=50, d=4, g=3 chains.
     """
     n = len(kernel.space)
     vec = None
-    if n == 1:
-        vec = np.ones(1)
-    elif n == 2:
+    if n == 2:
         vec = np.array([kernel.p[1, 0], kernel.p[0, 1]])  # (P_10, P_01)
-    else:
+    elif n > 2:
         try:
             _, vecs = scipy.sparse.linalg.eigs(
                 kernel.p.T, k=1, which="LM", tol=0, v0=np.full(n, 1.0 / n),

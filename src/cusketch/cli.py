@@ -9,11 +9,14 @@ Subcommands:
     table1       bound table for m=50, d=4, T=250 over a range of g
     verify       run the cross-check suites (exit 3 on any failure)
 
-Every command emits one machine-readable record (JSON by default, CSV with
---format csv) containing the echoed command, its parameters, the results
-with numbers rendered as full-precision decimal strings, and the wall time.
-Exit codes: 0 success, 1 invalid arguments, 2 numeric non-convergence,
-3 verification failure.
+Every other command emits one machine-readable record (JSON by default, CSV
+with --format csv) containing the echoed command, its parameters, the
+results with numbers rendered as full-precision decimal strings, and the
+wall time; `simulate --format csv` writes per-run rows instead. Exit codes:
+0 success, 1 invalid or oversized input (bad flags, parameters out of range
+or past a size guard), 2 numeric non-convergence, 3 verification failure.
+`verify` prints one ok/FAIL line per check; a check that raises fails, with
+its message on stderr, and the remaining checks still run.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import closed_form as cf
 from .bounds import chain_values, compute_bounds
-from .errors import ConfigurationError, NonConvergenceError, OracleSizeError
+from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from .kernel import build_kernel
 from .simulate import (
     SimConfig,
@@ -44,13 +48,9 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
 
-class _CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on bad flags, not argparse's default 2
-        raise _CliError(message)
+        raise ConfigurationError(message)
 
 
 def _fmt(x):
@@ -106,15 +106,6 @@ def _emit(record: dict, fmt: str) -> None:
         _out("\n".join(rows) + "\n")
 
 
-def _record(command: str, parameters: dict, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "wall_time_s": time.perf_counter() - started,
-    }
-
-
 def _variants(args) -> tuple[str, ...]:
     return ("lb", "ub") if args.variant == "both" else (args.variant,)
 
@@ -123,8 +114,7 @@ def _bound_key(variant: str) -> str:
     return "lower" if variant == "lb" else "upper"
 
 
-def _cmd_bounds(args) -> int:
-    started = time.perf_counter()
+def _cmd_bounds(args):
     variants = _variants(args)
     chains = chain_values(args.m, args.d, args.g, args.t, variants)
     results: dict = {"n_states": state_space_size(args.m, args.d, args.g)}
@@ -140,36 +130,24 @@ def _cmd_bounds(args) -> int:
             with open(path, "w") as fh:
                 json.dump(kernel.to_dict(), fh)
             results[f"{variant}_kernel_dump"] = path
-    record = _record(
-        "bounds",
-        {"m": args.m, "d": args.d, "g": args.g, "t": args.t, "variant": args.variant},
-        results,
-        started,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    parameters = {"m": args.m, "d": args.d, "g": args.g, "t": args.t, "variant": args.variant}
+    return parameters, results
 
 
-def _cmd_asymptotic(args) -> int:
-    started = time.perf_counter()
+def _cmd_asymptotic(args):
     chains = chain_values(args.m, args.d, args.g, None, _variants(args), args.tol)
     results = {"n_states": state_space_size(args.m, args.d, args.g), "tol": args.tol}
     for variant, chain in chains.items():
         results[_bound_key(variant)] = chain.value
-    record = _record(
-        "asymptotic",
-        {"m": args.m, "d": args.d, "g": args.g, "variant": args.variant, "tol": args.tol},
-        results,
-        started,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    parameters = {"m": args.m, "d": args.d, "g": args.g, "variant": args.variant, "tol": args.tol}
+    return parameters, results
 
 
-def _cmd_closed_form(args) -> int:
-    started = time.perf_counter()
+def _cmd_closed_form(args):
     g1_lower, g1_upper = cf.g1_asymptotic(args.m)
     gmax = args.g if args.g is not None else 10
+    if gmax < 1:
+        cf.bd_gap_tail(args.m, gmax)  # refuses g < 1 with its own message
     results = {
         "pi": [cf.bd_limiting(args.m, f) for f in range(11)],
         "error_rate": cf.bd_error_rate(args.m),
@@ -178,13 +156,10 @@ def _cmd_closed_form(args) -> int:
         "g1_lower": g1_lower,
         "g1_upper": g1_upper,
     }
-    record = _record("closed-form", {"m": args.m, "g": args.g}, results, started)
-    _emit(record, args.format)
-    return EXIT_OK
+    return {"m": args.m, "g": args.g}, results
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def _cmd_simulate(args):
     config = SimConfig(
         m=args.m,
         d=args.d,
@@ -198,43 +173,29 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv":
         _out(stats.to_csv())
         return EXIT_OK
-    record = _record(
-        "simulate",
-        {
-            "m": args.m,
-            "d": args.d,
-            "t": args.t,
-            "runs": args.runs,
-            "seed": args.seed,
-            "variant": args.variant,
-            "cap": args.cap,
-        },
-        stats.to_dict(),
-        started,
-    )
-    _emit(record, "json")
-    return EXIT_OK
+    parameters = {
+        "m": args.m,
+        "d": args.d,
+        "t": args.t,
+        "runs": args.runs,
+        "seed": args.seed,
+        "variant": args.variant,
+        "cap": args.cap,
+    }
+    return parameters, stats.to_dict()
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle(args):
     result = brute_force_expected_error(args.m, args.d, args.t)
-    record = _record(
-        "oracle",
-        {"m": args.m, "d": args.d, "t": args.t},
-        {
-            "expected_error": float(result.exact_expected_error),
-            "expected_error_exact": str(result.exact_expected_error),
-            "expected_error_per_step": float(result.per_step),
-        },
-        started,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    results = {
+        "expected_error": float(result.exact_expected_error),
+        "expected_error_exact": str(result.exact_expected_error),
+        "expected_error_per_step": float(result.per_step),
+    }
+    return {"m": args.m, "d": args.d, "t": args.t}, results
 
 
-def _cmd_table1(args) -> int:
-    started = time.perf_counter()
+def _cmd_table1(args):
     if args.gmax >= 4:
         print(
             "warning: on a 2-core 2.1 GHz Xeon --gmax 4 takes about 4 s and "
@@ -258,74 +219,79 @@ def _cmd_table1(args) -> int:
             f"({res.lower_seconds + res.upper_seconds:.2f} s)",
             file=sys.stderr,
         )
-    record = _record(
-        "table1", {"m": 50, "d": 4, "t": 250, "gmax": args.gmax}, {"rows": rows}, started
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    return {"m": 50, "d": 4, "t": 250, "gmax": args.gmax}, {"rows": rows}
 
 
-def _verify_checks(level: str):
-    """Yield (name, passed) pairs for the cross-check suite."""
-    oracle_cases = [(3, 2, 1), (3, 2, 2), (4, 2, 1)]
-    if level == "full":
-        oracle_cases = [(m, 2, T) for m in (3, 4) for T in (1, 2, 3)]
-    for m, d, T in oracle_cases:
-        exact = float(brute_force_expected_error(m, d, T).per_step)
-        ok = all(
-            abs(chain.value - exact) <= 1e-10 for chain in chain_values(m, d, T, T).values()
-        )
-        yield f"oracle-equivalence m={m} d={d} T={T}", ok
+def _oracle_agrees(m: int, d: int, T: int) -> bool:
+    exact = float(brute_force_expected_error(m, d, T).per_step)
+    return all(abs(chain.value - exact) <= 1e-10 for chain in chain_values(m, d, T, T).values())
 
+
+def _sandwiches_hold(n: int, tmax: int) -> bool:
     rng = np.random.Generator(np.random.PCG64(12345))
-    n_sandwich = 1000 if level == "full" else 100
-    ok = True
-    for _ in range(n_sandwich):
+    for _ in range(n):
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m + 1))
         g = int(rng.integers(1, 4))
-        T = int(rng.integers(1, 51 if level == "full" else 31))
+        T = int(rng.integers(1, tmax + 1))
         if not sandwich_trace(m, d, g, T, seed=int(rng.integers(0, 2**63))).ok:
-            ok = False
-            break
-    yield f"pathwise-sandwich x{n_sandwich}", ok
+            return False
+    return True
 
-    ok = True
+
+def _kernels_build() -> bool:
     for m in range(3, 9):
         for d in (2, m - 1):
             for g in (1, 2, 3):
                 space = enumerate_states(m, d, g)
                 for variant in ("lb", "ub"):
                     build_kernel(space, variant)  # raises on any inconsistency
-    yield "kernel-soundness m<=8", ok
+    return True
 
-    mmax = 20 if level == "full" else 8
-    ok = True
-    for m in range(3, mmax + 1):
-        chains = chain_values(m, m - 1, 1, None)
-        for chain, exact in zip(chains.values(), cf.g1_asymptotic(m)):
-            if abs(chain.value - exact) > 1e-10:
-                ok = False
-    yield f"closed-form-vs-markov m<={mmax}", ok
 
+def _closed_forms_agree(mmax: int) -> bool:
+    return all(
+        abs(chain.value - exact) <= 1e-10
+        for m in range(3, mmax + 1)
+        for chain, exact in zip(chain_values(m, m - 1, 1, None).values(), cf.g1_asymptotic(m))
+    )
+
+
+def _long_run_rates_match() -> bool:
+    stats = estimate_error(SimConfig(m=10, d=9, T=10**5, runs=1, seed=7, variant="cu"))
+    return abs(stats.mean_error_rate - 0.5) < 0.01 and abs(stats.mean_counter_rate - 0.5) < 0.01
+
+
+def _verify_checks(level: str):
+    """Yield (name, check) pairs for the cross-check suite; check() is True on a pass."""
+    oracle_cases = [(3, 2, 1), (3, 2, 2), (4, 2, 1)]
     if level == "full":
-        config = SimConfig(m=10, d=9, T=10**5, runs=1, seed=7, variant="cu")
-        stats = estimate_error(config)
-        ok = (
-            abs(stats.mean_error_rate - 0.5) < 0.01
-            and abs(stats.mean_counter_rate - 0.5) < 0.01
-        )
-        yield "long-run-rates m=10 d=9", ok
+        oracle_cases = [(m, 2, T) for m in (3, 4) for T in (1, 2, 3)]
+    for m, d, T in oracle_cases:
+        yield f"oracle-equivalence m={m} d={d} T={T}", partial(_oracle_agrees, m, d, T)
+    n_sandwich = 1000 if level == "full" else 100
+    tmax = 50 if level == "full" else 30
+    yield f"pathwise-sandwich x{n_sandwich}", partial(_sandwiches_hold, n_sandwich, tmax)
+    yield "kernel-soundness m<=8", _kernels_build
+    mmax = 20 if level == "full" else 8
+    yield f"closed-form-vs-markov m<={mmax}", partial(_closed_forms_agree, mmax)
+    if level == "full":
+        yield "long-run-rates m=10 d=9", _long_run_rates_match
 
 
 def _cmd_verify(args) -> int:
+    """Run every check; one that raises a library error fails and the rest still run."""
     started = time.perf_counter()
-    failures = []
-    for name, ok in _verify_checks(args.level):
+    failures = 0
+    for name, check in _verify_checks(args.level):
+        try:
+            ok = check()
+        except (ConfigurationError, NonConvergenceError, InternalConsistencyError) as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            ok = False
         _out(f"{'ok  ' if ok else 'FAIL'}  {name}\n")
-        if not ok:
-            failures.append(name)
-    _out(f"verify {args.level}: {len(failures)} failure(s) "
+        failures += not ok
+    _out(f"verify {args.level}: {failures} failure(s) "
          f"in {time.perf_counter() - started:.1f} s\n")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
@@ -387,19 +353,34 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place an outcome becomes output and an exit code.
+
+    A record command's handler returns (parameters, results), emitted here
+    as one record; `verify` and `simulate --format csv` write their own
+    text and return an exit code.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigurationError, OracleSizeError) as exc:
+        started = time.perf_counter()
+        outcome = args.func(args)
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"error: {exc} (residual {exc.residual:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    if isinstance(outcome, int):
+        return outcome
+    parameters, results = outcome
+    record = {
+        "command": args.subcommand,
+        "parameters": parameters,
+        "results": results,
+        "wall_time_s": time.perf_counter() - started,
+    }
+    _emit(record, args.format)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,12 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per outcome."""
 
 
 class ConfigurationError(ValueError):
-    """Invalid sketch or chain parameters (m, d, g, T, ...)."""
-
-
-class InvalidEventError(ValueError):
-    """A (v, c) selection event outside the admissible range for a state."""
+    """Invalid or oversized input: parameters (m, d, g, T, ...), events, flags."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -23,7 +19,3 @@ class InternalConsistencyError(RuntimeError):
 
     Raising this always indicates an implementation bug, never bad input.
     """
-
-
-class OracleSizeError(ValueError):
-    """Brute-force enumeration would exceed the configured size guard."""

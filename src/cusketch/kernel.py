@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, InternalConsistencyError, InvalidEventError
+from .errors import ConfigurationError, InternalConsistencyError
 from .states import DeltaState, StateSpace, state_space_size, validate_params
 
 ROW_SUM_TOL = 1e-12
@@ -35,9 +35,9 @@ _BLOCK_ROWS = 1 << 14
 def _check_event(k: DeltaState, v: int, c: int, d: int) -> None:
     g = len(k) - 1
     if not 0 <= v <= g:
-        raise InvalidEventError(f"level v={v} outside [0, {g}]")
+        raise ConfigurationError(f"level v={v} outside [0, {g}]")
     if not 1 <= c <= min(d, k[v]):
-        raise InvalidEventError(f"count c={c} outside [1, min(d={d}, k_v={k[v]})]")
+        raise ConfigurationError(f"count c={c} outside [1, min(d={d}, k_v={k[v]})]")
 
 
 def gamma_lb(k: DeltaState, v: int, c: int, d: int) -> DeltaState:

@@ -37,7 +37,7 @@ from typing import Hashable, Iterator, Sequence
 import numpy as np
 
 from .config import SketchConfig
-from .errors import ConfigurationError, OracleSizeError
+from .errors import ConfigurationError
 
 GAP_HISTOGRAM_LEVELS = 10
 ORACLE_LEAF_GUARD = 10**6
@@ -47,6 +47,9 @@ _VARIANT_CODES = {"cu": _CU, "lb": _LB, "ub": _UB}
 # Steps drawn and decoded at a time: bounds the decoded selections' memory
 # on long trajectories while keeping NumPy's per-call cost negligible.
 _BLOCK_STEPS = 1024
+# Pool cells `_selections` decodes at a time: 8 MiB of int64. A (1024, m)
+# pool at m=200000 would take 1.6 GB.
+_DECODE_CELLS = 1 << 20
 # estimate_error steps fewer runs than this one by one through `_run_steps`,
 # and more together through `_run_rows`. A `_run_rows` pass has a fixed NumPy
 # cost of about 15 us, against about 1.2 us per run-step for `_run_steps`:
@@ -164,10 +167,14 @@ def _selections(u: np.ndarray, m: int) -> np.ndarray:
 
     Partial Fisher-Yates shuffle, vectorized over the rows, with the index
     arithmetic of `uniform_select`: row t gives the subset `uniform_select`
-    draws from the same d doubles (unsorted). The (T, m) working pool is why
-    callers decode long draws in blocks.
+    draws from the same d doubles (unsorted). Each row needs a working pool
+    of m indices, so rows are decoded at most `_DECODE_CELLS` pool cells at
+    a time, and only the (T, d) selections are kept.
     """
     T, d = u.shape
+    chunk = max(1, _DECODE_CELLS // m)
+    if T > chunk:
+        return np.concatenate([_selections(u[i : i + chunk], m) for i in range(0, T, chunk)])
     rows = np.arange(T)
     pool = np.tile(np.arange(m, dtype=np.int64), (T, 1))
     for j in range(d):
@@ -175,7 +182,7 @@ def _selections(u: np.ndarray, m: int) -> np.ndarray:
         picked = pool[rows, r]
         pool[rows, r] = pool[:, j]
         pool[:, j] = picked
-    return pool[:, :d]
+    return pool[:, :d].copy()  # not a view that would keep the pool alive
 
 
 def _run_steps(
@@ -419,6 +426,8 @@ def worst_case_probe(
     assigned subsets.
     """
     SketchConfig(m, d)
+    if runs < 1:
+        raise ConfigurationError(f"runs must be >= 1, got {runs}")
     counts: dict[Hashable, int] = {}
     for item in stream:
         counts[item] = counts.get(item, 0) + 1
@@ -484,7 +493,7 @@ def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
     n_subsets = math.comb(m, d)
     leaves = n_subsets**T
     if leaves > ORACLE_LEAF_GUARD:
-        raise OracleSizeError(
+        raise ConfigurationError(
             f"C({m},{d})^{T} = {leaves} sequences exceeds the {ORACLE_LEAF_GUARD} guard"
         )
     steps = [(s,) for s in combinations(range(m), d)]  # one-step selection sequences

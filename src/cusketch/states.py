@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SketchConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InternalConsistencyError
 
 DeltaState = tuple[int, ...]
 
@@ -180,5 +180,7 @@ def enumerate_states(m: int, d: int, g: int) -> StateSpace:
         block[:, level] += d
         start += len(tails)
     if start != n:
-        raise AssertionError(f"enumerated {start} states, expected C({m + g - d},{g}) = {n}")
+        raise InternalConsistencyError(
+            f"enumerated {start} states, expected C({m + g - d},{g}) = {n}"
+        )
     return StateSpace(m=m, d=d, g=g, states=states)

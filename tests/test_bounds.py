@@ -108,8 +108,9 @@ class TestStationary:
         # solution `_start_vector` gives a two-state chain already does.
         point_mass = np.eye(2)[two_state_lb.space.initial_index]
         monkeypatch.setattr(cusketch.bounds, "_start_vector", lambda kernel: point_mass)
+        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 2)
         with pytest.raises(NonConvergenceError) as exc:
-            stationary(two_state_lb, tol=1e-15, max_iters=2)
+            stationary(two_state_lb, tol=1e-15)
         assert exc.value.residual > 0
 
     def test_invalid_tol(self, two_state_lb):
@@ -198,9 +199,10 @@ class TestArnoldiStart:
         self._check(kernel)
         assert bool(calls) == arnoldi
 
-    def test_two_state_chain_starts_stationary(self, two_state_lb):
+    def test_two_state_chain_starts_stationary(self, two_state_lb, monkeypatch):
         # lambda_2 = -2/3: from the point mass the power loop needs dozens of steps
-        assert _residual(two_state_lb, stationary(two_state_lb, max_iters=1)) <= 1e-15
+        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 1)
+        assert _residual(two_state_lb, stationary(two_state_lb)) <= 1e-15
 
 
 class TestAsymptotic:

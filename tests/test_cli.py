@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import sys
@@ -14,6 +13,7 @@ from cusketch.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from cusketch.errors import InternalConsistencyError
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,11 +131,7 @@ class TestAsymptotic:
         assert float(record["results"]["upper"]) == pytest.approx(0.6, abs=1e-10)
 
     def test_non_convergence_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            cusketch.bounds,
-            "stationary",
-            functools.partial(cusketch.bounds.stationary, max_iters=3),
-        )
+        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 3)
         rc, _, err = run(
             capsys, "asymptotic", "--m", "6", "--d", "2", "--g", "2", "--tol", "1e-300"
         )
@@ -169,6 +165,12 @@ class TestClosedForm:
         assert float(record["results"]["error_rate"]) == 0.5
         assert float(record["results"]["counter_rate"]) == 0.5
         assert float(record["results"]["gap_tail"]["1"]) == pytest.approx(3 / 4)
+
+    @pytest.mark.parametrize("g", ["0", "-3"])
+    def test_g_below_one_rejected(self, capsys, g):
+        rc, out, err = run(capsys, "closed-form", "--m", "5", "--g", g)
+        assert rc == EXIT_USAGE
+        assert out == "" and f"g must be >= 1, got {g}" in err
 
     def test_m2_rejected(self, capsys):
         rc, _, err = run(capsys, "closed-form", "--m", "2")
@@ -273,11 +275,32 @@ class TestVerify:
         import cusketch.cli as cli_mod
 
         monkeypatch.setattr(
-            cli_mod, "_verify_checks", lambda level: iter([("forced", False)])
+            cli_mod, "_verify_checks", lambda level: iter([("forced", lambda: False)])
         )
         rc, out, _ = run(capsys, "verify")
         assert rc == EXIT_VERIFY_FAILED
         assert "FAIL" in out
+
+    def test_raising_checks_fail_and_the_rest_still_run(self, capsys, monkeypatch):
+        import cusketch.cli as cli_mod
+
+        def build_kernel(space, variant):
+            raise InternalConsistencyError("injected kernel fault")
+
+        monkeypatch.setattr(cli_mod, "build_kernel", build_kernel)
+        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 0)  # every solve gives up
+        rc, out, err = run(capsys, "verify", "--level", "full")
+        assert rc == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert lines[-4:-1] == [
+            "FAIL  kernel-soundness m<=8",
+            "FAIL  closed-form-vs-markov m<=20",
+            "ok    long-run-rates m=10 d=9",
+        ]
+        assert all(line.startswith("ok  ") for line in lines[:-4])
+        assert lines[-1].startswith("verify full: 2 failure(s)")
+        assert "kernel-soundness m<=8: injected kernel fault" in err
+        assert "closed-form-vs-markov m<=20: power iteration residual" in err
 
 
 class TestClosedStdout:
@@ -301,6 +324,6 @@ class TestClosedStdout:
     def test_verify_runs_to_its_own_status(self, monkeypatch):
         import cusketch.cli as cli_mod
 
-        checks = [("first", True), ("second", False)]
+        checks = [("first", lambda: True), ("second", lambda: False)]
         monkeypatch.setattr(cli_mod, "_verify_checks", lambda level: iter(checks))
         assert self.run_closed(monkeypatch, "verify") == EXIT_VERIFY_FAILED

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cusketch.kernel as kernel_mod
-from cusketch.errors import ConfigurationError, InternalConsistencyError, InvalidEventError
+from cusketch.errors import ConfigurationError, InternalConsistencyError
 from cusketch.kernel import (
     beta_lb,
     beta_ub,
@@ -33,11 +33,11 @@ class TestGammaLb:
         assert gamma_lb((1, 2, 2), 1, 1, d=2) == (1, 1, 3)
 
     def test_invalid_event_rejected(self):
-        with pytest.raises(InvalidEventError):
+        with pytest.raises(ConfigurationError):
             gamma_lb((1, 2), 1, 3, d=2)  # c > d
-        with pytest.raises(InvalidEventError):
+        with pytest.raises(ConfigurationError):
             gamma_lb((1, 2), 0, 2, d=2)  # c > k_0
-        with pytest.raises(InvalidEventError):
+        with pytest.raises(ConfigurationError):
             gamma_lb((1, 2), 2, 1, d=2)  # v > g
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cusketch.simulate
 from cusketch.closed_form import bd_gap_tail
 from cusketch.config import SketchConfig
-from cusketch.errors import ConfigurationError, OracleSizeError
+from cusketch.errors import ConfigurationError
 from cusketch.simulate import (
     _BATCH_RUNS,
     _BLOCK_STEPS,
@@ -207,6 +209,25 @@ class TestSelections:
         direct = [uniform_select(SketchConfig(m, d), rng) for _ in range(T)]
         assert [tuple(sorted(row)) for row in decoded] == direct
 
+    def test_decode_memory_is_bounded_by_the_chunk_budget(self):
+        # One (1024, m) pool at m=200000 would take 1.6 GB.
+        u = substream(3, 0).random((1024, 2))
+        tracemalloc.start()
+        try:
+            sel = _selections(u, 200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sel.shape == (1024, 2)
+        assert peak < 32 * 2**20
+
+    def test_chunked_decode_equals_one_shot(self, monkeypatch):
+        u = substream(4, 0).random((101, 3))
+        whole = _selections(u, 7)
+        assert whole.base is None  # not a view that keeps the (T, m) pool alive
+        monkeypatch.setattr(cusketch.simulate, "_DECODE_CELLS", 16)  # 2 rows a chunk
+        assert np.array_equal(_selections(u, 7), whole)
+
     def test_blocked_trajectory_matches_one_decode(self):
         config = SimConfig(m=7, d=3, T=2500, runs=1, seed=5, variant="ub", g=2)
         traj = run_trajectory(config, 4)
@@ -347,6 +368,10 @@ class TestSandwich:
 
 
 class TestWorstCaseProbe:
+    def test_zero_runs_rejected(self):
+        with pytest.raises(ConfigurationError, match="runs must be >= 1, got 0"):
+            worst_case_probe(m=12, d=3, stream=["x"], runs=0, seed=1)
+
     def test_distinct_stream_matches_absent_error(self):
         stream = [f"x{i}" for i in range(60)]
         report = worst_case_probe(m=12, d=3, stream=stream, runs=200, seed=19)
@@ -419,7 +444,7 @@ class TestBruteForceOracle:
         assert brute_force_expected_error(4, 3, 3).exact_expected_error == Fraction(39, 32)
 
     def test_guard_on_huge_enumerations(self):
-        with pytest.raises(OracleSizeError):
+        with pytest.raises(ConfigurationError, match="guard"):
             brute_force_expected_error(10, 5, 4)
 
     def test_monte_carlo_agrees_with_oracle(self):
