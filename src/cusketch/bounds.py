@@ -143,7 +143,8 @@ def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
 
     if n <= DIRECT_SOLVE_LIMIT:
         direct = _stationary_direct(pt, n)
-        if float(np.abs(direct - pi).max()) > max(1e-8, 100 * tol):
+        # `not <=` also fails the NaN a singular balance system solves to
+        if not float(np.abs(direct - pi).max()) <= max(1e-8, 100 * tol):
             raise InternalConsistencyError(
                 "power iteration and direct solve disagree on the stationary vector"
             )

@@ -146,8 +146,7 @@ def _cmd_asymptotic(args):
 def _cmd_closed_form(args):
     g1_lower, g1_upper = cf.g1_asymptotic(args.m)
     gmax = args.g if args.g is not None else 10
-    if gmax < 1:
-        cf.bd_gap_tail(args.m, gmax)  # refuses g < 1 with its own message
+    cf.bd_gap_tail(args.m, gmax)  # refuses g outside 1 .. GAP_TAIL_GMAX up front
     results = {
         "pi": [cf.bd_limiting(args.m, f) for f in range(11)],
         "error_rate": cf.bd_error_rate(args.m),

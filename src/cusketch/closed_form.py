@@ -14,6 +14,11 @@ from .errors import ConfigurationError, InternalConsistencyError
 
 _SERIES_TOL = 1e-12
 _TAIL_CUTOFF = 1e-15
+# Largest g with a nonzero float gap tail for some m: m = 3 decays slowest,
+# and 3 / (2 * 2**1075) rounds to the least subnormal, 4.94e-324, while every
+# tail past it rounds to 0.0. The tail is computed exactly, so a larger g
+# would only cost time and memory.
+GAP_TAIL_GMAX = 1075
 
 
 def _require_m(m: int) -> None:
@@ -90,6 +95,10 @@ def bd_gap_tail(m: int, g: int) -> float:
     _require_m(m)
     if g < 1:
         raise ConfigurationError(f"g must be >= 1, got {g}")
+    if g > GAP_TAIL_GMAX:
+        raise ConfigurationError(
+            f"g must be <= {GAP_TAIL_GMAX}, got {g}: every gap tail beyond it is 0.0"
+        )
     return m / (2 * (m - 1) ** g)
 
 

@@ -1,13 +1,12 @@
 """Seeded Monte-Carlo engine and the exact brute-force oracle.
 
-Trajectories are driven by two steppers that apply the same CU, LB or UB
-rule. `_run_steps` advances one list of counters in pure Python, at about
-1.2 us a step; sandwich traces, the worst-case probe, the oracle, single
-trajectories and Monte-Carlo estimates of few runs use it. `_run_rows`
-advances the runs of a block together, as the rows of one (runs x m) array,
-one NumPy pass per step: a pass costs about 15 us whatever the row count, so
-`estimate_error` switches to it from `_MIN_BATCH_RUNS` runs on, where it
-beats the pure-Python loop. Both give the same counters and gap traces.
+Every simulated trajectory is drawn by `_draws`, in blocks of at most
+`_BLOCK_STEPS` steps, so memory stays bounded on any horizon. `_step_rows`
+picks the stepper for a block of runs: `_run_steps` advances one list of
+counters in pure Python, at about 1.2 us a step; `_run_rows` advances the
+runs together, as the rows of one (runs x m) array, one NumPy pass of about
+15 us per step whatever the row count. Both apply the same CU, LB or UB
+rule. Sandwich traces and the oracle call `_run_steps` directly.
 
 The estimation error of an absent item is never sampled: conditionally on
 the final counters, its expectation over the item's uniformly random
@@ -27,6 +26,7 @@ changing results.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -50,7 +50,7 @@ _BLOCK_STEPS = 1024
 # Pool cells `_selections` decodes at a time: 8 MiB of int64. A (1024, m)
 # pool at m=200000 would take 1.6 GB.
 _DECODE_CELLS = 1 << 20
-# estimate_error steps fewer runs than this one by one through `_run_steps`,
+# `_step_rows` steps fewer rows than this one by one through `_run_steps`,
 # and more together through `_run_rows`. A `_run_rows` pass has a fixed NumPy
 # cost of about 15 us, against about 1.2 us per run-step for `_run_steps`:
 # at T=250 the batched path broke even at 8-12 runs (m=50/d=4, m=10/d=9,
@@ -157,9 +157,10 @@ def _expected_min_numerator(values: Sequence[int], d: int) -> int:
     return sum(map(operator.mul, sorted(map(int, values)), _order_weights(len(values), d)))
 
 
-def _order_weights(m: int, d: int) -> list[int]:
+@functools.lru_cache(maxsize=8)
+def _order_weights(m: int, d: int) -> tuple[int, ...]:
     """C(m - r, d - 1) for sorted positions r = 1 .. m - d + 1."""
-    return [math.comb(m - r, d - 1) for r in range(1, m - d + 2)]
+    return tuple(math.comb(m - r, d - 1) for r in range(1, m - d + 2))
 
 
 def _selections(u: np.ndarray, m: int) -> np.ndarray:
@@ -231,22 +232,6 @@ def _run_steps(
     return gaps
 
 
-def run_trajectory(config: SimConfig, run_index: int = 0) -> TrajectoryResult:
-    """One seeded trajectory; exact conditional error from the final counters."""
-    rng = substream(config.seed, run_index)
-    values = [0] * config.m
-    variant = _VARIANT_CODES[config.variant]
-    gaps = []
-    for start in range(0, config.T, _BLOCK_STEPS):
-        u = rng.random((min(_BLOCK_STEPS, config.T - start), config.d))
-        gaps += _run_steps(values, _selections(u, config.m).tolist(), variant, config.g or 0)
-    return TrajectoryResult(
-        values=np.asarray(values, dtype=np.int64),
-        gap_trace=np.array(gaps, dtype=np.int64),
-        conditional_error=expected_min_over_subsets(values, config.d),
-    )
-
-
 def _run_rows(values: np.ndarray, sel: np.ndarray, variant: int, g: int) -> np.ndarray:
     """Advance every row of the (R, m) counters in place; return the (R, T) gap trace.
 
@@ -281,47 +266,52 @@ def _run_rows(values: np.ndarray, sel: np.ndarray, variant: int, g: int) -> np.n
     return gaps.T
 
 
-def _run_block(config: SimConfig, runs: range) -> tuple[np.ndarray, np.ndarray]:
-    """Step the given runs together as the rows of `_run_rows`.
+def _draws(seed: int, runs: range, T: int, m: int, d: int) -> Iterator[np.ndarray]:
+    """The T selections of each run, in (steps, runs, d) blocks of at most _BLOCK_STEPS steps.
 
-    Returns their final counters, shape (R, m), and the `_gap_counts` of
-    all their steps. Each run draws from its own substream in the blocks of
-    `run_trajectory`; the draws of several runs are decoded together,
-    `_BLOCK_STEPS` rows at a time.
+    Each run draws from its own substream; several runs are decoded together.
     """
-    m, d = config.m, config.d
-    rngs = [substream(config.seed, r) for r in runs]
-    values = np.zeros((len(rngs), m), dtype=np.int64)
-    counts = np.zeros(GAP_HISTOGRAM_LEVELS + 1, dtype=np.int64)
-    for start in range(0, config.T, _BLOCK_STEPS):
-        steps = min(_BLOCK_STEPS, config.T - start)
+    rngs = [substream(seed, r) for r in runs]
+    for start in range(0, T, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, T - start)
         sel = np.empty((steps, len(rngs), d), dtype=np.int32)  # counter indices < m
         group = max(1, _BLOCK_STEPS // steps)
         for i in range(0, len(rngs), group):
             u = np.concatenate([rng.random((steps, d)) for rng in rngs[i : i + group]])
             sel[:, i : i + group] = _selections(u, m).reshape(-1, steps, d).transpose(1, 0, 2)
-        gaps = _run_rows(values, sel, _VARIANT_CODES[config.variant], config.g or 0)
-        counts += _gap_counts(gaps)
-    return values, counts
+        yield sel
 
 
-def _gap_counts(gaps: np.ndarray) -> np.ndarray:
-    """Steps at each gap 0 .. GAP_HISTOGRAM_LEVELS; the last bin takes larger gaps too."""
-    clipped = np.minimum(gaps, GAP_HISTOGRAM_LEVELS).ravel()
-    return np.bincount(clipped, minlength=GAP_HISTOGRAM_LEVELS + 1)
+def _step_rows(values: np.ndarray, sel: np.ndarray, variant: int, g: int) -> np.ndarray:
+    """Step the rows as `_run_rows` does; below `_MIN_BATCH_RUNS` rows, one by one."""
+    if len(values) >= _MIN_BATCH_RUNS:
+        return _run_rows(values, sel, variant, g)
+    gaps = np.empty((len(values), len(sel)), dtype=np.int64)
+    for row, trace, row_sel in zip(values, gaps, sel.transpose(1, 0, 2)):
+        counters = row.tolist()
+        trace[:] = _run_steps(counters, row_sel.tolist(), variant, g)
+        row[:] = counters
+    return gaps
 
 
-def _stepped_runs(config: SimConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Final counters and gap counts of every run, a block of runs at a time."""
-    if config.runs < _MIN_BATCH_RUNS:
-        for r in range(config.runs):
-            traj = run_trajectory(config, r)
-            yield traj.values[None, :], _gap_counts(traj.gap_trace)
-        return
-    n_blocks = -(-config.runs // _BATCH_RUNS)
-    ends = [config.runs * i // n_blocks for i in range(n_blocks + 1)]
-    for lo, hi in zip(ends, ends[1:]):
-        yield _run_block(config, range(lo, hi))
+def _run_blocks(runs: int, most: int) -> Iterator[range]:
+    """Runs 0 .. runs - 1 in the fewest near-equal ranges of at most `most` runs."""
+    n_blocks = -(-runs // most)
+    ends = [runs * i // n_blocks for i in range(n_blocks + 1)]
+    return map(range, ends, ends[1:])
+
+
+def run_trajectory(config: SimConfig, run_index: int = 0) -> TrajectoryResult:
+    """One seeded trajectory; exact conditional error from the final counters."""
+    values = np.zeros((1, config.m), dtype=np.int64)
+    blocks = _draws(config.seed, range(run_index, run_index + 1), config.T, config.m, config.d)
+    variant = _VARIANT_CODES[config.variant]
+    gaps = [_step_rows(values, sel, variant, config.g or 0)[0] for sel in blocks]
+    return TrajectoryResult(
+        values=values[0],
+        gap_trace=np.concatenate(gaps),
+        conditional_error=expected_min_over_subsets(values[0], config.d),
+    )
 
 
 def _stderr(values: Sequence[float], mean: float) -> float:
@@ -339,16 +329,19 @@ def estimate_error(config: SimConfig) -> SimStats:
     `expected_min_over_subsets`, taken on Python ints from its sorted counters.
     """
     m, d, T = config.m, config.d, config.T
-    weights = _order_weights(m, d)
+    variant, g = _VARIANT_CODES[config.variant], config.g or 0
     subsets = math.comb(m, d)
     errors: list[float] = []
     rates: list[float] = []
     counts = np.zeros(GAP_HISTOGRAM_LEVELS + 1, dtype=np.int64)
-    for values, block_counts in _stepped_runs(config):
-        errors += [sum(map(operator.mul, row, weights)) / subsets / T
-                   for row in np.sort(values, axis=1).tolist()]
-        rates += [total / (T * m) for total in values.sum(axis=1).tolist()]
-        counts += block_counts
+    for runs in _run_blocks(config.runs, _BATCH_RUNS):
+        values = np.zeros((len(runs), m), dtype=np.int64)
+        for sel in _draws(config.seed, runs, T, m, d):
+            gaps = np.minimum(_step_rows(values, sel, variant, g), GAP_HISTOGRAM_LEVELS)
+            counts += np.bincount(gaps.ravel(), minlength=len(counts))  # last bin: larger gaps too
+        rows = np.sort(values, axis=1).tolist()  # sorted rows: the numerator's sort is a scan
+        errors += [_expected_min_numerator(row, d) / subsets / T for row in rows]
+        rates += [sum(row) / (T * m) for row in rows]
 
     mean = math.fsum(errors) / len(errors)
     tails = np.cumsum(counts[::-1])[::-1].tolist()  # tails[level]: steps with gap >= level
@@ -379,22 +372,27 @@ def sandwich_trace(m: int, d: int, g: int, T: int, seed: int) -> SandwichReport:
     """Drive LB(g), LB(g+1), CU, UB(g+1), UB(g) on one selection sequence.
 
     Verifies the element-wise ordering
-    LB(g) <= LB(g+1) <= CU <= UB(g+1) <= UB(g) after every step.
+    LB(g) <= LB(g+1) <= CU <= UB(g+1) <= UB(g) after every step, holding
+    the snapshots of one block of steps at a time.
     """
     if g < 1:
         raise ConfigurationError(f"g must be >= 1, got {g}")
     SketchConfig(m, d)
-    selections = _selections(substream(seed, 0).random((T, d)), m).tolist()
     chains = [(_LB, g), (_LB, g + 1), (_CU, 0), (_UB, g + 1), (_UB, g)]
-    snapshots = np.empty((len(chains), T, m), dtype=np.int64)
-    for (variant, cap), snaps in zip(chains, snapshots):
-        _run_steps([0] * m, selections, variant, cap, snaps)
-    bad = snapshots[:-1] > snapshots[1:]  # (adjacent chain pair, step, counter)
-    steps = np.flatnonzero(bad.any(axis=(0, 2)))
-    if len(steps):
-        t = int(steps[0])
-        index = int(np.flatnonzero(bad[:, t])[0]) % m  # first pair in chain order, then index
-        return SandwichReport(ok=False, first_violation=(t + 1, index))
+    counters = [[0] * m for _ in chains]
+    done = 0  # steps of the earlier blocks
+    for sel in _draws(seed, range(1), T, m, d):
+        selections = sel[:, 0].tolist()
+        snapshots = np.empty((len(chains), len(selections), m), dtype=np.int64)
+        for (variant, cap), values, snaps in zip(chains, counters, snapshots):
+            _run_steps(values, selections, variant, cap, snaps)
+        bad = snapshots[:-1] > snapshots[1:]  # (adjacent chain pair, step, counter)
+        steps = np.flatnonzero(bad.any(axis=(0, 2)))
+        if len(steps):
+            t = int(steps[0])
+            index = int(np.flatnonzero(bad[:, t])[0]) % m  # first pair in chain order, then index
+            return SandwichReport(ok=False, first_violation=(done + t + 1, index))
+        done += len(selections)
     return SandwichReport(ok=True)
 
 
@@ -421,42 +419,44 @@ def worst_case_probe(
 
     Hash assignments are redrawn each run: as with `IdealHashTable`, each
     distinct item draws one uniform subset, in first-seen order, from the
-    run's substream, decoded for all items in one block. The absent item's
-    error uses the exact subset expectation, present items use their
-    assigned subsets.
+    run's substream, as `_draws` draws its selections; a group of runs holds
+    at most `_DECODE_CELLS` subset cells. The absent item's error uses the
+    exact subset expectation, present items use their assigned subsets.
     """
     SketchConfig(m, d)
     if runs < 1:
         raise ConfigurationError(f"runs must be >= 1, got {runs}")
-    counts: dict[Hashable, int] = {}
-    for item in stream:
-        counts[item] = counts.get(item, 0) + 1
-    distinct = list(counts)
-    slot = {item: i for i, item in enumerate(distinct)}
-    order = [slot[item] for item in stream]
-    count_of = np.array(list(counts.values()))
+    slot: dict[Hashable, int] = {}  # distinct items in first-seen order
+    order = np.array([slot.setdefault(item, len(slot)) for item in stream], dtype=np.intp)
+    if not slot:
+        raise ConfigurationError("stream must hold at least one item")
+    count_of = np.bincount(order)
 
-    run_errors = np.empty((runs, len(distinct)))
+    run_errors = np.empty((runs, len(slot)))
     absent_sum = 0.0
     absent_errors = []
-
-    for run in range(runs):
-        subsets = _selections(substream(seed, run).random((len(distinct), d)), m).tolist()
-        values = [0] * m
-        _run_steps(values, [subsets[i] for i in order], _CU, 0)
-        run_errors[run] = np.asarray(values)[subsets].min(axis=1) - count_of
-        abs_err = expected_min_over_subsets(values, d)
-        absent_sum += abs_err
-        absent_errors.append(abs_err)
+    group = min(_BATCH_RUNS, max(1, _DECODE_CELLS // (len(slot) * d)))
+    for block in _run_blocks(runs, group):
+        subsets = np.concatenate(list(_draws(seed, block, len(slot), m, d)))  # (items, runs, d)
+        values = np.zeros((len(block), m), dtype=np.int64)
+        for start in range(0, len(order), _BLOCK_STEPS):
+            _step_rows(values, subsets[order[start : start + _BLOCK_STEPS]], _CU, 0)
+        picked = values[np.arange(len(block))[:, None], subsets]
+        run_errors[block] = picked.min(axis=2).T - count_of
+        for row in values.tolist():
+            abs_err = expected_min_over_subsets(row, d)
+            absent_sum += abs_err
+            absent_errors.append(abs_err)
 
     absent_mean = absent_sum / runs
     absent_se = _stderr(absent_errors, absent_mean)
     items = []
     ok = True
     means = run_errors.sum(axis=0) / runs  # integer errors: exact sums in any order
-    for item, mean, column in zip(distinct, means.tolist(), run_errors.T.tolist()):
+    stats = zip(slot, count_of.tolist(), means.tolist(), run_errors.T.tolist())
+    for item, count, mean, column in stats:
         se = _stderr(column, mean)
-        items.append(ProbeItemStats(item=item, count=counts[item], mean_error=mean, stderr=se))
+        items.append(ProbeItemStats(item=item, count=count, mean_error=mean, stderr=se))
         margin = 3.0 * math.hypot(se, absent_se) if runs > 1 else 0.0
         if mean > absent_mean + margin:
             ok = False

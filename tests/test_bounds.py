@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import cusketch.bounds
@@ -13,7 +16,7 @@ from cusketch.bounds import (
     expected_error_from_kernel,
     stationary,
 )
-from cusketch.errors import ConfigurationError, NonConvergenceError
+from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from cusketch.kernel import build_kernel
 from cusketch.states import enumerate_states
 
@@ -121,6 +124,15 @@ class TestStationary:
     def test_tol_not_finite_and_positive(self, two_state_lb, tol):
         with pytest.raises(ConfigurationError, match="finite and positive"):
             stationary(two_state_lb, tol=tol)
+
+    @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+    def test_singular_direct_solve_fails_the_cross_check(self):
+        # Every state absorbing: the balance system is singular and the direct
+        # solve returns NaN, which no distance comparison may pass.
+        kernel = build_kernel(enumerate_states(4, 2, 2), "lb")
+        frozen = dataclasses.replace(kernel, p=sp.identity(len(kernel.space), format="csr"))
+        with pytest.raises(InternalConsistencyError, match="disagree"):
+            stationary(frozen)
 
     def test_unreachable_tol_stops_at_rounding_floor(self):
         kernel = build_kernel(enumerate_states(6, 2, 2), "lb")

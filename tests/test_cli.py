@@ -172,6 +172,18 @@ class TestClosedForm:
         assert rc == EXIT_USAGE
         assert out == "" and f"g must be >= 1, got {g}" in err
 
+    def test_largest_g_keeps_the_last_nonzero_tail(self, capsys):
+        rc, out, _ = run(capsys, "closed-form", "--m", "3", "--g", "1075")
+        assert rc == EXIT_OK
+        tail = json.loads(out)["results"]["gap_tail"]
+        assert len(tail) == 1075 and tail["1075"] == "4.9406564584124654e-324"
+
+    @pytest.mark.parametrize("g", ["1076", "40000", str(10**9)])
+    def test_g_past_the_last_nonzero_tail_rejected(self, capsys, g):
+        rc, out, err = run(capsys, "closed-form", "--m", "3", "--g", g)
+        assert rc == EXIT_USAGE
+        assert out == "" and f"g must be <= 1075, got {g}" in err
+
     def test_m2_rejected(self, capsys):
         rc, _, err = run(capsys, "closed-form", "--m", "2")
         assert rc == EXIT_USAGE

@@ -2,6 +2,7 @@ import pytest
 
 from cusketch.bounds import asymptotic_error
 from cusketch.closed_form import (
+    GAP_TAIL_GMAX,
     bd_error_rate,
     bd_gap_tail,
     bd_growth_rate,
@@ -63,6 +64,14 @@ class TestGapTail:
             for g in (1, 2, 3, 4):
                 tail = sum(bd_limiting(m, f) for f in range(g, 200))
                 assert bd_gap_tail(m, g) == pytest.approx(tail, abs=1e-12)
+
+    def test_cap_drops_only_tails_that_round_to_zero(self):
+        # m = 3 decays slowest: its tail at the cap is the least subnormal
+        assert bd_gap_tail(3, GAP_TAIL_GMAX) == 5e-324
+        assert 3 / (2 * 2 ** (GAP_TAIL_GMAX + 1)) == 0.0
+        assert bd_gap_tail(4, GAP_TAIL_GMAX) == 0.0
+        with pytest.raises(ConfigurationError, match=f"g must be <= {GAP_TAIL_GMAX}"):
+            bd_gap_tail(3, GAP_TAIL_GMAX + 1)
 
 
 class TestG1Asymptotic:

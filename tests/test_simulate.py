@@ -14,6 +14,7 @@ from cusketch.errors import ConfigurationError
 from cusketch.simulate import (
     _BATCH_RUNS,
     _BLOCK_STEPS,
+    _DECODE_CELLS,
     _MIN_BATCH_RUNS,
     _VARIANT_CODES,
     GAP_HISTOGRAM_LEVELS,
@@ -333,6 +334,26 @@ class TestStderr:
         )
 
 
+def _sandwich_reference(m, d, g, T, seed, fault=None):
+    """First violation over the whole horizon, every chain's (T, m) snapshots held at once.
+
+    A `fault` step lifts CU above UB(g+1) at counter 4 from that step on.
+    """
+    selections = _selections(substream(seed, 0).random((T, d)), m).tolist()
+    chains = [("lb", g), ("lb", g + 1), ("cu", 0), ("ub", g + 1), ("ub", g)]
+    snapshots = np.empty((len(chains), T, m), dtype=np.int64)
+    for (variant, cap), snaps in zip(chains, snapshots):
+        _run_steps([0] * m, selections, _VARIANT_CODES[variant], cap, snaps)
+    if fault is not None:
+        snapshots[2, fault - 1 :, 4] += 10**6
+    bad = snapshots[:-1] > snapshots[1:]
+    steps = np.flatnonzero(bad.any(axis=(0, 2)))
+    if not len(steps):
+        return None
+    t = int(steps[0])
+    return t + 1, int(np.flatnonzero(bad[:, t])[0]) % m
+
+
 class TestSandwich:
     def test_ordering_holds_on_seeded_traces(self):
         for seed in range(10):
@@ -366,11 +387,121 @@ class TestSandwich:
         assert not report.ok
         assert report.first_violation == expected
 
+    @pytest.mark.parametrize("m,d,g,seed", [(6, 2, 2, 0), (9, 4, 1, 3), (5, 5, 3, 7)])
+    def test_blocked_trace_matches_whole_horizon(self, m, d, g, seed):
+        T = 2 * _BLOCK_STEPS + 17
+        report = sandwich_trace(m, d, g, T, seed)
+        assert report.ok and _sandwich_reference(m, d, g, T, seed) is None
+
+    @pytest.mark.parametrize(
+        "fault", [3, _BLOCK_STEPS, _BLOCK_STEPS + 1, _BLOCK_STEPS + 6, 2 * _BLOCK_STEPS + 17]
+    )
+    def test_fault_in_any_block_reports_the_global_step(self, monkeypatch, fault):
+        m, d, g, T, seed = 6, 2, 2, 2 * _BLOCK_STEPS + 17, 1
+        run_steps = cusketch.simulate._run_steps
+        done = [0]  # CU steps of the earlier blocks
+
+        def faulty(values, selections, variant, cap, snapshots=None):
+            trace = run_steps(values, selections, variant, cap, snapshots)
+            if variant == _VARIANT_CODES["cu"]:
+                snapshots[max(0, fault - 1 - done[0]) :, 4] += 10**6
+                done[0] += len(selections)
+            return trace
+
+        monkeypatch.setattr(cusketch.simulate, "_run_steps", faulty)
+        report = sandwich_trace(m, d, g, T, seed)
+        assert report.first_violation == (fault, 4) == _sandwich_reference(m, d, g, T, seed, fault)
+
+    def test_memory_holds_one_block_of_snapshots(self):
+        # the five (T, m) int64 snapshot arrays of the whole horizon take 38 MB here
+        tracemalloc.start()
+        try:
+            report = sandwich_trace(m=50, d=4, g=3, T=20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 12 * 2**20
+
+
+def _probe_reference(m, d, stream, runs, seed):
+    """Per-item counts, per-run present-item errors and absent errors, run by run."""
+    slot = {}
+    order = [slot.setdefault(item, len(slot)) for item in stream]
+    counts = np.bincount(order).tolist()
+    present, absent = [], []
+    for run in range(runs):
+        subsets = _selections(substream(seed, run).random((len(slot), d)), m).tolist()
+        values = [0] * m
+        _run_steps(values, [subsets[i] for i in order], _VARIANT_CODES["cu"], 0)
+        present.append([min(values[i] for i in s) - c for s, c in zip(subsets, counts)])
+        absent.append(expected_min_over_subsets(values, d))
+    return list(slot), counts, present, absent
+
+
+def _check_probe_against_reference(m, d, stream, runs, seed):
+    items, counts, present, absent = _probe_reference(m, d, stream, runs, seed)
+    report = worst_case_probe(m, d, stream, runs, seed)
+    assert [s.item for s in report.items] == items
+    assert [s.count for s in report.items] == counts
+    means = [sum(column) / runs for column in zip(*present)]
+    assert [s.mean_error for s in report.items] == means
+    stderrs = [_stderr(list(column), mean) for column, mean in zip(zip(*present), means)]
+    assert np.array_equal([s.stderr for s in report.items], stderrs, equal_nan=True)
+    total = 0.0
+    for err in absent:  # summed in run order
+        total += err
+    assert report.absent_mean == total / runs
+    assert np.array_equal(report.absent_stderr, _stderr(absent, total / runs), equal_nan=True)
+
 
 class TestWorstCaseProbe:
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigurationError, match="runs must be >= 1, got 0"):
             worst_case_probe(m=12, d=3, stream=["x"], runs=0, seed=1)
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one item"):
+            worst_case_probe(m=12, d=3, stream=[], runs=2, seed=1)
+
+    @pytest.mark.parametrize("runs", [1, _MIN_BATCH_RUNS - 1, _MIN_BATCH_RUNS, 70])
+    def test_matches_run_by_run_reference(self, runs):
+        rng = substream(99, 0)
+        weights = 1.0 / np.arange(1, 21)
+        stream = [f"z{i}" for i in rng.choice(20, size=200, p=weights / weights.sum())]
+        _check_probe_against_reference(20, 3, stream, runs, 13)
+
+    def test_long_stream_matches_run_by_run_reference(self):
+        stream = [i % (_BLOCK_STEPS + 500) for i in range(3 * _BLOCK_STEPS)]
+        _check_probe_against_reference(9, 3, stream, _MIN_BATCH_RUNS + 4, 4)
+
+    def test_run_groups_hold_at_most_the_cell_budget(self, monkeypatch):
+        d, runs, stream = 3, 4, list(range(10**5))
+        draws = cusketch.simulate._draws
+        groups = []
+
+        def spy(seed, block, T, m, d):
+            groups.append((block, T))
+            return draws(seed, block, T, m, d)
+
+        monkeypatch.setattr(cusketch.simulate, "_draws", spy)
+        worst_case_probe(20, d, stream, runs, 1)
+        assert [run for block, _ in groups for run in block] == list(range(runs))
+        assert all(len(block) * T * d <= _DECODE_CELLS for block, T in groups)
+        assert max(len(block) for block, _ in groups) > 1
+
+    @pytest.mark.slow
+    def test_memory_with_many_distinct_items(self):
+        # Four runs in one group would hold 8M subset cells and their gathered
+        # counters, about 140 MB at the peak; one run at a time peaks near 71 MB.
+        stream = list(range(10**5))
+        tracemalloc.start()
+        try:
+            worst_case_probe(40, 20, stream, 4, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
 
     def test_distinct_stream_matches_absent_error(self):
         stream = [f"x{i}" for i in range(60)]
