@@ -2,16 +2,16 @@
 
 Public surface: sketch update rules and selection models (`sketch`), the
 gap-capped Markov chain machinery (`states`, `kernel`, `bounds`), closed
-forms for d = m - 1 (`closed_form`), the Monte-Carlo engine and brute-force
-oracle (`simulate`), and a CLI (`cusketch`).
+forms for d = m - 1 (`closed_form`), the Monte-Carlo engine and the exact
+oracle over distinct counter states (`simulate`), and a CLI (`cusketch`).
 """
 
 from .bounds import (
     BoundResult,
     asymptotic_error,
     compute_bounds,
-    evolve_occupancy,
     expected_error,
+    occupancy_sequence,
     stationary,
 )
 from .config import SketchConfig
@@ -76,12 +76,12 @@ __all__ = [
     "delta_of",
     "enumerate_states",
     "estimate_error",
-    "evolve_occupancy",
     "expected_error",
     "gamma_lb",
     "gamma_ub",
     "gap",
     "lb_update",
+    "occupancy_sequence",
     "query",
     "run_trajectory",
     "sandwich_trace",

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import KERNEL_BYTES_GUARD, TransitionKernel, build_kernel, check_kernel_size
+from .kernel import TransitionKernel, build_kernel, check_kernel_size
 from .states import enumerate_states
 
 DIRECT_SOLVE_LIMIT = 2000
@@ -53,10 +53,11 @@ class BoundResult:
 
 
 def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]:
-    """Yield the state distribution at steps 0 .. T-1.
+    """Yield the state distribution at steps 0 .. T-1, one vector at a time.
 
-    Step 0 is the point mass on the all-at-minimum state. Each vector is
-    renormalized to wash out float drift; the correction is ~1e-16 per step.
+    The forward reference for the backward sum. Step 0 is the point mass on
+    the all-at-minimum state. Each vector is renormalized to wash out float
+    drift; the correction is ~1e-16 per step.
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
@@ -69,20 +70,6 @@ def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]
         total = pi.sum()
         if abs(total - 1.0) > OCCUPANCY_TOL:
             pi = pi / total
-
-
-def evolve_occupancy(kernel: TransitionKernel, T: int) -> np.ndarray:
-    """Materialized occupancy vectors, shape (T, n_states).
-
-    Refused before allocating when the array would exceed KERNEL_BYTES_GUARD.
-    """
-    size = T * len(kernel.space) * 8
-    if size > KERNEL_BYTES_GUARD:
-        raise ConfigurationError(
-            f"{T} occupancy vectors of {len(kernel.space)} states need "
-            f"{size / 2**30:.1f} GiB, above the {KERNEL_BYTES_GUARD / 2**30:.0f} GiB guard"
-        )
-    return np.stack(list(occupancy_sequence(kernel, T)))
 
 
 def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
@@ -224,12 +211,14 @@ def chain_values(
 ) -> dict[str, ChainValue]:
     """Evaluate each variant's chain at horizon T, or in the limit for T=None.
 
-    The tolerance and size guards run and the state space is enumerated once
-    for all variants. Each kernel is dropped before the next is built, so
-    only one is held at a time.
+    The horizon, tolerance and size guards run before anything is built, and
+    the state space is enumerated once for all variants. Each kernel is
+    dropped before the next is built, so only one is held at a time.
     """
     if T is None:
         _check_tol(tol)
+    elif T < 1:
+        raise ConfigurationError(f"T must be >= 1, got {T}")
     check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
     chains = {}

@@ -5,7 +5,7 @@ Subcommands:
     asymptotic   T -> infinity limits of the bounds
     closed-form  d = m - 1 birth-death results and g = 1 limits
     simulate     seeded Monte-Carlo estimate of the average error
-    oracle       exact expected error by brute-force enumeration
+    oracle       exact expected error, summed over distinct counter states
     table1       bound table for m=50, d=4, T=250 over a range of g
     verify       run the cross-check suites (exit 3 on any failure)
 
@@ -127,8 +127,11 @@ def _cmd_bounds(args):
             if len(variants) > 1:
                 path = f"{path.removesuffix('.json')}.{variant}.json"
             kernel = build_kernel(enumerate_states(args.m, args.d, args.g), variant)
-            with open(path, "w") as fh:
-                json.dump(kernel.to_dict(), fh)
+            try:
+                with open(path, "w") as fh:
+                    json.dump(kernel.to_dict(), fh)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from exc
             results[f"{variant}_kernel_dump"] = path
     parameters = {"m": args.m, "d": args.d, "g": args.g, "t": args.t, "variant": args.variant}
     return parameters, results
@@ -335,7 +338,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None, help="gap cap g for lb/ub")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exact brute-force expected error")
+    p = sub.add_parser("oracle", help="exact expected error over distinct counter states")
     common(p)
     p.set_defaults(func=_cmd_oracle)
 

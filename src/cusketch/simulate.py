@@ -1,4 +1,4 @@
-"""Seeded Monte-Carlo engine and the exact brute-force oracle.
+"""Seeded Monte-Carlo engine and the exact oracle.
 
 Every simulated trajectory is drawn by `_draws`, in blocks of at most
 `_BLOCK_STEPS` steps, so memory stays bounded on any horizon. `_step_rows`
@@ -40,6 +40,7 @@ from .config import SketchConfig
 from .errors import ConfigurationError
 
 GAP_HISTOGRAM_LEVELS = 10
+# (state, subset) pairs the exact oracle may step over its whole walk.
 ORACLE_LEAF_GUARD = 10**6
 
 _CU, _LB, _UB = 0, 1, 2
@@ -88,7 +89,7 @@ class SimConfig:
     runs: int
     seed: int
     variant: str = "cu"  # "cu", "lb", or "ub"
-    g: int | None = None  # required for lb/ub
+    g: int | None = None  # required for lb/ub, refused for cu
 
     def __post_init__(self):
         SketchConfig(self.m, self.d)
@@ -100,6 +101,8 @@ class SimConfig:
             raise ConfigurationError(f"variant must be one of cu/lb/ub, got {self.variant!r}")
         if self.variant != "cu" and (self.g is None or self.g < 1):
             raise ConfigurationError("lb/ub simulation requires a gap cap g >= 1")
+        if self.variant == "cu" and self.g is not None:
+            raise ConfigurationError("a gap cap g applies only to the lb/ub variants")
 
 
 @dataclass(frozen=True)
@@ -480,35 +483,37 @@ class OracleResult:
 
 
 def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
-    """Exact E[error at horizon T] by enumerating every selection sequence.
+    """Exact E[error at horizon T], averaged over every selection sequence.
 
-    Averages the exact conditional subset expectation uniformly over all
-    C(m, d)^T equally likely sequences; the result is an exact rational.
-    The sequences are walked depth first, so each shared prefix is stepped
-    once and only the counters along the current path are held.
+    CU commutes with permuting the counters and the error reads only the
+    sorted counters, so `reach` counts the sequences reaching each distinct
+    sorted state, and each step advances every state through each subset.
+    Refused once the steps left would take the (state, subset) pairs stepped
+    past ORACLE_LEAF_GUARD, counting at least one state for each step left.
     """
     SketchConfig(m, d)
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
-    n_subsets = math.comb(m, d)
-    leaves = n_subsets**T
-    if leaves > ORACLE_LEAF_GUARD:
-        raise ConfigurationError(
-            f"C({m},{d})^{T} = {leaves} sequences exceeds the {ORACLE_LEAF_GUARD} guard"
-        )
     steps = [(s,) for s in combinations(range(m), d)]  # one-step selection sequences
-
-    def numerators(values: list[int], steps_left: int) -> int:
-        if steps_left == 0:
-            return _expected_min_numerator(values, d)
-        total = 0
-        for step in steps:
-            child = values.copy()
-            _run_steps(child, step, _CU, 0)
-            total += numerators(child, steps_left - 1)
-        return total
-
-    total = numerators([0] * m, T)
+    reach = {(0,) * m: 1}
+    stepped = 0
+    for t in range(T):
+        least = stepped + (len(reach) + T - t - 1) * len(steps)
+        if least > ORACLE_LEAF_GUARD:
+            raise ConfigurationError(
+                f"the oracle would step at least {least} (state, subset) pairs, "
+                f"above the {ORACLE_LEAF_GUARD} guard"
+            )
+        stepped += len(reach) * len(steps)
+        after: dict[tuple[int, ...], int] = {}
+        for state, weight in reach.items():
+            for step in steps:
+                child = list(state)
+                _run_steps(child, step, _CU, 0)
+                key = tuple(sorted(child))
+                after[key] = after.get(key, 0) + weight
+        reach = after
+    total = sum(weight * _expected_min_numerator(state, d) for state, weight in reach.items())
     return OracleResult(
-        m=m, d=d, T=T, exact_expected_error=Fraction(total, n_subsets * leaves)
+        m=m, d=d, T=T, exact_expected_error=Fraction(total, len(steps) ** (T + 1))
     )

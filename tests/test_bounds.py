@@ -11,9 +11,9 @@ from cusketch.bounds import (
     asymptotic_error,
     chain_values,
     compute_bounds,
-    evolve_occupancy,
     expected_error,
     expected_error_from_kernel,
+    occupancy_sequence,
     stationary,
 )
 from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
@@ -33,27 +33,22 @@ def two_state_ub():
 
 class TestOccupancy:
     def test_first_steps_of_two_state_chain(self, two_state_lb):
-        pis = evolve_occupancy(two_state_lb, 3)
+        pis = list(occupancy_sequence(two_state_lb, 3))
         assert pis[0].tolist() == [1.0, 0.0]
         assert pis[1] == pytest.approx([0.0, 1.0])
         assert pis[2] == pytest.approx([2 / 3, 1 / 3])
 
     def test_stochastic_at_every_step(self, two_state_ub):
-        for pi in evolve_occupancy(two_state_ub, 50):
+        steps = 0
+        for pi in occupancy_sequence(two_state_ub, 50):
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert (pi >= 0).all()
+            steps += 1
+        assert steps == 50
 
     def test_horizon_must_be_positive(self, two_state_lb):
         with pytest.raises(ConfigurationError):
-            evolve_occupancy(two_state_lb, 0)
-
-    def test_oversized_stack_refused_before_allocating(self, two_state_lb, monkeypatch):
-        def occupancy_sequence(*args):
-            raise AssertionError("evolved occupancy past the size guard")
-
-        monkeypatch.setattr(cusketch.bounds, "occupancy_sequence", occupancy_sequence)
-        with pytest.raises(ConfigurationError, match="guard"):
-            evolve_occupancy(two_state_lb, 10**9)  # 16 GB of float64
+            next(occupancy_sequence(two_state_lb, 0))
 
 
 class TestExpectedError:
@@ -87,7 +82,7 @@ class TestBackwardSum:
     @pytest.mark.parametrize("m,d,g", [(3, 2, 1), (6, 3, 2), (9, 3, 3), (5, 5, 2)])
     def test_matches_forward_occupancy(self, m, d, g, T, variant):
         kernel = build_kernel(enumerate_states(m, d, g), variant)
-        forward = float((evolve_occupancy(kernel, T) @ kernel.r).mean())
+        forward = float(np.mean([pi @ kernel.r for pi in occupancy_sequence(kernel, T)]))
         backward = expected_error_from_kernel(kernel, T)
         assert backward == pytest.approx(forward, rel=1e-14, abs=0)
 

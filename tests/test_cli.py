@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,27 @@ class TestBounds:
         )
         assert rc == EXIT_OK
         assert path.read_bytes() == (DATA / f"kernel_6_3_2.{variant}.json").read_bytes()
+
+    def test_unwritable_kernel_dump_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "k.json"
+        rc, out, err = run(
+            capsys, "bounds", "--m", "6", "--d", "2", "--g", "2", "--t", "5",
+            "--variant", "lb", "--dump-kernel", str(path),
+        )
+        assert rc == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_zero_horizon_is_usage_error_before_enumerating(self, capsys, monkeypatch):
+        def enumerate_states(*args):
+            raise AssertionError("enumerated a state space for T = 0")
+
+        monkeypatch.setattr(cusketch.bounds, "enumerate_states", enumerate_states)
+        rc, out, err = run(
+            capsys, "bounds", "--m", "50", "--d", "4", "--g", "5", "--t", "0", "--variant", "lb"
+        )
+        assert rc == EXIT_USAGE
+        assert out == "" and "T must be >= 1" in err
 
     @pytest.mark.parametrize("command", ["bounds", "asymptotic"])
     def test_oversized_chain_is_usage_error_without_allocating(
@@ -213,6 +235,14 @@ class TestSimulate:
             index, error, rate = line.split(",")
             assert int(index) == i and float(error) >= 0.0 and float(rate) > 0.0
 
+    def test_cap_without_capped_variant_is_usage_error(self, capsys):
+        rc, out, err = run(
+            capsys, "simulate", "--m", "6", "--d", "2", "--t", "5",
+            "--runs", "2", "--seed", "1", "--cap", "3",
+        )
+        assert rc == EXIT_USAGE
+        assert out == "" and "lb/ub" in err
+
     def test_capped_variant_needs_cap(self, capsys):
         rc, _, err = run(
             capsys, "simulate", "--m", "5", "--d", "2", "--t", "50",
@@ -230,9 +260,25 @@ class TestOracle:
         assert float(record["results"]["expected_error_per_step"]) == pytest.approx(4 / 9)
 
     def test_size_guard_is_usage_error(self, capsys):
-        rc, _, err = run(capsys, "oracle", "--m", "10", "--d", "5", "--t", "4")
+        rc, _, err = run(capsys, "oracle", "--m", "20", "--d", "10", "--t", "6")
         assert rc == EXIT_USAGE
         assert "guard" in err
+
+    def test_full_selection_over_a_long_horizon(self, capsys):
+        rc, out, _ = run(capsys, "oracle", "--m", "3", "--d", "3", "--t", "1000")
+        assert rc == EXIT_OK
+        assert json.loads(out)["results"]["expected_error_per_step"] == "1"
+
+    @pytest.mark.parametrize("t", ["100000000", "9013"])
+    def test_long_horizon_refused_in_one_short_line(self, capsys, t):
+        started = time.perf_counter()
+        rc, out, err = run(capsys, "oracle", "--m", "3", "--d", "2", "--t", t)
+        seconds = time.perf_counter() - started
+        assert rc == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "guard" in err and len(err) < 200
+        if t == "100000000":
+            assert seconds < 1.0  # refused before stepping, no power of C(3, 2) formed
 
 
 class TestUsageErrors:

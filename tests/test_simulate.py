@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -63,6 +64,10 @@ class TestSimConfig:
     def test_capped_variant_requires_g(self):
         with pytest.raises(ConfigurationError):
             SimConfig(m=4, d=2, T=10, runs=1, seed=0, variant="lb")
+
+    def test_cap_refused_for_plain_cu(self):
+        with pytest.raises(ConfigurationError, match="lb/ub"):
+            SimConfig(m=4, d=2, T=10, runs=1, seed=0, g=3)
 
     def test_bad_variant(self):
         with pytest.raises(ConfigurationError):
@@ -556,6 +561,32 @@ class TestGapTail:
             assert abs(tails[g] - expected) < 4 * stderr + 1e-3
 
 
+def _depth_first_reference(m, d, T):
+    """The exact expected error by walking every selection sequence depth first."""
+    steps = [(s,) for s in itertools.combinations(range(m), d)]
+
+    def numerators(values, steps_left):
+        if steps_left == 0:
+            return cusketch.simulate._expected_min_numerator(values, d)
+        total = 0
+        for step in steps:
+            child = values.copy()
+            _run_steps(child, step, cusketch.simulate._CU, 0)
+            total += numerators(child, steps_left - 1)
+        return total
+
+    return Fraction(numerators([0] * m, T), len(steps) ** (T + 1))
+
+
+def _small_oracle_cases():
+    """Every (m, d, T) with m <= 5 and C(m, d)^T <= 2 * 10^4, and T <= 6 for d = m."""
+    for m in range(2, 6):
+        for d in range(1, m + 1):
+            for T in range(1, 15):  # 2^15 sequences are over the limit
+                if math.comb(m, d) ** T <= 2 * 10**4 and (d < m or T <= 6):
+                    yield m, d, T
+
+
 class TestBruteForceOracle:
     def test_single_step(self):
         res = brute_force_expected_error(3, 2, 1)
@@ -574,9 +605,40 @@ class TestBruteForceOracle:
         assert brute_force_expected_error(3, 1, 4).exact_expected_error == Fraction(4, 3)
         assert brute_force_expected_error(4, 3, 3).exact_expected_error == Fraction(39, 32)
 
-    def test_guard_on_huge_enumerations(self):
+    def test_matches_depth_first_walk_of_every_sequence(self):
+        cases = list(_small_oracle_cases())
+        assert len(cases) == 95
+        for m, d, T in cases:
+            exact = brute_force_expected_error(m, d, T).exact_expected_error
+            assert exact == _depth_first_reference(m, d, T), (m, d, T)
+
+    def test_full_selection_over_a_long_horizon(self):
+        # d = m: every step lifts every counter, one state and one subset
+        assert brute_force_expected_error(3, 3, 1000).per_step == 1
+
+    def test_guard_on_huge_enumerations(self, monkeypatch):
+        def stepper(*args):
+            raise AssertionError("stepped a walk the guard refuses up front")
+
+        monkeypatch.setattr(cusketch.simulate, "_run_steps", stepper)
+        # T * C(20, 10) = 1,108,536 stepped states, at least one per step
         with pytest.raises(ConfigurationError, match="guard"):
-            brute_force_expected_error(10, 5, 4)
+            brute_force_expected_error(20, 10, 6)
+
+    def test_guard_refuses_mid_walk(self, monkeypatch):
+        calls = []
+        real = cusketch.simulate._run_steps
+
+        def stepper(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cusketch.simulate, "_run_steps", stepper)
+        monkeypatch.setattr(cusketch.simulate, "ORACLE_LEAF_GUARD", 100)
+        # 20 * C(3, 2) = 60 is within the budget, the distinct states are not
+        with pytest.raises(ConfigurationError, match="guard"):
+            brute_force_expected_error(3, 2, 20)
+        assert 0 < len(calls) <= 100
 
     def test_monte_carlo_agrees_with_oracle(self):
         exact = brute_force_expected_error(4, 2, 3)
