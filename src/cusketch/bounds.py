@@ -112,7 +112,7 @@ def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
         residual = float(np.abs(nxt - pi).max())
         if residual <= tol:
             break  # pi itself satisfies ||pi P - pi||_inf <= tol
-        if residual <= RESIDUAL_FLOOR and residual <= RESIDUAL_FLOOR * pi.max():
+        if residual <= RESIDUAL_FLOOR * pi.max():
             raise NonConvergenceError(
                 f"power iteration residual {residual:.3e} > tol {tol:.1e} "
                 f"is at the float64 rounding floor after {it + 1} iterations",
@@ -145,14 +145,16 @@ def _check_tol(tol: float) -> None:
 
 
 def _start_vector(kernel: TransitionKernel) -> np.ndarray:
-    """The dominant eigenvector of P^T as a distribution, else the start state.
+    """The eigenvector of P^T for lambda = 1 as a distribution, else the start state.
 
+    ARPACK targets the largest real part: 1 is the only eigenvalue of a
+    stochastic matrix with real part 1, while the largest modulus picked
+    0.9687 - 0.2298i (modulus 0.9956) on the m=50, d=4, g=5 LB chain.
     ARPACK needs k < n - 1, so a two-state chain starts from the solution of
     its balance equation, pi_0 P_01 = pi_1 P_10: from the point mass, with
     lambda_2 = -(m-1)/m, it needs hundreds of power steps. A one-state chain
-    starts from the point mass, its stationary vector. (np.linalg.eig gives
-    the same start, but loading LAPACK's eigensolver raised the peak RSS of
-    `verify --level full` by 1.1 MB.)
+    starts from the point mass, its stationary vector. (np.linalg.eig would
+    load LAPACK's eigensolver: +1.1 MB peak RSS on `verify --level full`.)
     Any ARPACK failure starts from the point mass on the initial state. The
     uniform v0 matters: from the point mass ARPACK converged to a wrong Ritz
     vector on the m=50, d=4, g=3 chains.
@@ -164,7 +166,7 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     elif n > 2:
         try:
             _, vecs = scipy.sparse.linalg.eigs(
-                kernel.p.T, k=1, which="LM", tol=0, v0=np.full(n, 1.0 / n),
+                kernel.p.T, k=1, which="LR", tol=0, v0=np.full(n, 1.0 / n),
                 ncv=min(n, ARNOLDI_NCV),
             )
         except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence

@@ -33,7 +33,7 @@ import numpy as np
 from . import closed_form as cf
 from .bounds import chain_values, compute_bounds
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import build_kernel
+from .kernel import build_kernel, dump_kernel
 from .simulate import (
     SimConfig,
     brute_force_expected_error,
@@ -117,19 +117,19 @@ def _bound_key(variant: str) -> str:
 def _cmd_bounds(args):
     variants = _variants(args)
     chains = chain_values(args.m, args.d, args.g, args.t, variants)
+    space = enumerate_states(args.m, args.d, args.g) if args.dump_kernel else None
     results: dict = {"n_states": state_space_size(args.m, args.d, args.g)}
     for variant, chain in chains.items():
         results[_bound_key(variant)] = chain.value
         results[f"{variant}_edges"] = chain.n_edges
         results[f"{variant}_seconds"] = chain.seconds
-        if args.dump_kernel:
+        if space is not None:
             path = args.dump_kernel
             if len(variants) > 1:
                 path = f"{path.removesuffix('.json')}.{variant}.json"
-            kernel = build_kernel(enumerate_states(args.m, args.d, args.g), variant)
             try:
                 with open(path, "w") as fh:
-                    json.dump(kernel.to_dict(), fh)
+                    dump_kernel(space, variant, fh)
             except OSError as exc:
                 raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from exc
             results[f"{variant}_kernel_dump"] = path

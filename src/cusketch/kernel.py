@@ -10,9 +10,10 @@ grows by one during the transition.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,8 +115,8 @@ class TransitionKernel:
     duplicate (src, dst) pairs summed; `p.T` is P^T as a CSC view of the same
     arrays. `r` is the per-state expected error increment, the row sums of P
     element-wise B. `n_edges` counts (state, event) pairs, which can exceed
-    `p.nnz`. The per-event edge list is re-derived on demand by `edges()`;
-    each edge maps 1:1 to a case of the Gamma analysis.
+    `p.nnz`. `edges()` re-derives the per-event edge list from the event
+    pass that built P; each edge maps 1:1 to a case of the Gamma analysis.
     """
 
     space: StateSpace
@@ -143,20 +144,6 @@ class TransitionKernel:
             p=np.concatenate(p),
             beta=np.concatenate(beta),
         )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable layout: {m, d, g, variant, states, edges}."""
-        return {
-            "m": self.space.m,
-            "d": self.space.d,
-            "g": self.space.g,
-            "variant": self.variant,
-            "states": self.space.states.tolist(),
-            "edges": [
-                [int(s), int(t), int(v), int(c), float(p), float(b)]
-                for s, t, v, c, p, b in zip(*self.edges())
-            ],
-        }
 
 
 def _comb_table(nmax: int, rmax: int) -> np.ndarray:
@@ -219,16 +206,19 @@ def _live(kv: np.ndarray, above: np.ndarray, c: int, d: int) -> np.ndarray:
 def _event_pass(space: StateSpace, variant: str):
     """Yield (v, c, src, dst, p, beta) per event (v, c) and block of sources.
 
-    Events come in (v, c) ascending order and each event's live sources in
-    ascending blocks of at most _BLOCK_ROWS. Any target outside the state
-    space aborts: the Gamma maps are closed on it by construction, and the
-    membership check is what makes this a closure check (rank alone would
-    alias a non-member onto some index).
+    The one place an edge is made, ranked and checked. Events come in (v, c)
+    ascending order and each event's live sources in ascending blocks of at
+    most _BLOCK_ROWS. The pass aborts on a target outside the state space
+    (rank -1: the Gamma maps are closed on it by construction), on a beta
+    outside [0, 1] in a block, and, after the last block, on a source whose
+    event probabilities do not sum to 1 within ROW_SUM_TOL.
     """
+    if variant not in ("lb", "ub"):
+        raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
     m, d, g = space.m, space.d, space.g
-    states = space.states
     comb = _comb_table(m, d)
     denom = float(math.comb(m, d))
+    row_sums = np.zeros(len(space))
     for v, kv, above in _levels_above(space):
         for c in range(1, d + 1):
             live = np.flatnonzero(_live(kv, above, c, d))
@@ -238,7 +228,7 @@ def _event_pass(space: StateSpace, variant: str):
                 p = comb[kv[rows], c] * comb[above_r, d - c] / denom
                 beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
 
-                targets = states.T[:, rows].T  # a column-major copy, like `states`
+                targets = space.states.T[:, rows].T  # a column-major copy, like `states`
                 if v == g and c == d:
                     if variant == "lb":
                         # frozen: self-loop, no error growth
@@ -259,13 +249,19 @@ def _event_pass(space: StateSpace, variant: str):
                     targets[:, v] -= c
                     targets[:, v + 1] += c
 
-                outside = ~space.contains(targets)
-                if outside.any():
+                dst = space.rank(targets)
+                if (dst < 0).any():
                     raise InternalConsistencyError(
                         f"transition target left the state space: "
-                        f"{targets[np.flatnonzero(outside)[0]].tolist()}"
+                        f"{targets[np.flatnonzero(dst < 0)[0]].tolist()}"
                     )
-                yield v, c, rows, space.rank(targets), p, beta
+                if not (beta.min() >= 0 and beta.max() <= 1):  # NaN fails too
+                    raise InternalConsistencyError("beta values escaped [0, 1]")
+                row_sums[rows] += p
+                yield v, c, rows, dst, p, beta
+    worst = float(np.abs(row_sums - 1.0).max())
+    if not worst <= ROW_SUM_TOL:
+        raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
 
 
 def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
@@ -274,10 +270,8 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     Each state's edges are counted first, so the edges are written straight
     into the CSR arrays of P (rows = sources) at 12 B per edge; duplicate
     pairs are then summed in place, so the kernel holds no second copy of
-    the matrix. Row sums and the range of beta are checked on the way.
+    the matrix. Every consistency check runs inside `_event_pass`.
     """
-    if variant not in ("lb", "ub"):
-        raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
     n = len(space)
     per_state = np.zeros(n, dtype=np.int64)
     for _, kv, above in _levels_above(space):
@@ -293,21 +287,35 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     fill = indptr[:-1].astype(np.int64)  # next free slot in each source's row
 
     r = np.zeros(n)
-    row_sums = np.zeros(n)
     for _, _, rows, dst, p, beta in _event_pass(space, variant):
-        if beta.min() < 0 or beta.max() > 1:
-            raise InternalConsistencyError("beta values escaped [0, 1]")
         slots = fill[rows]
         cols[slots] = dst
         data[slots] = p
         fill[rows] += 1
         r[rows] += p * beta
-        row_sums[rows] += p
-
-    worst = float(np.abs(row_sums - 1.0).max())
-    if worst > ROW_SUM_TOL:
-        raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
     p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     del data, cols
     p.sum_duplicates()
     return TransitionKernel(space=space, variant=variant, n_edges=n_edges, p=p, r=r)
+
+
+def dump_kernel(space: StateSpace, variant: str, fh: TextIO) -> None:
+    """Write a chain as JSON {m, d, g, variant, states, edges}, one block at a time.
+
+    `edges` holds [src, dst, v, c, p, beta] per edge, in `edges()` order. The
+    bytes are those of `json.dump` of the whole layout, but the memory does
+    not grow with the edge count.
+    """
+    header = {"m": space.m, "d": space.d, "g": space.g, "variant": variant}
+    fh.write(json.dumps(header)[:-1] + ', "states": [')
+    for start in range(0, len(space), _BLOCK_ROWS):
+        block = space.states[start : start + _BLOCK_ROWS].tolist()
+        fh.write((", " if start else "") + json.dumps(block)[1:-1])
+    fh.write('], "edges": [')
+    sep = ""
+    for v, c, src, dst, p, beta in _event_pass(space, variant):
+        row = f"[%d, %d, {v}, {c}, %r, %r]".__mod__  # json's text for ints and floats
+        rows = zip(src.tolist(), dst.tolist(), p.tolist(), beta.tolist())
+        fh.write(sep + ", ".join(map(row, rows)))
+        sep = ", "
+    fh.write("]}")

@@ -58,12 +58,12 @@ class StateSpace:
         return tuple(int(x) for x in self.states[i])
 
     def index(self, k: DeltaState) -> int:
-        row = np.array([self.pad(k)], dtype=np.int64)
-        if not self.contains(row)[0]:
+        i = int(self.rank([self.pad(k)])[0])
+        if i < 0:
             raise ConfigurationError(
                 f"{tuple(k)} is not a state for m={self.m}, d={self.d}, g={self.g}"
             )
-        return int(self.rank(row)[0])
+        return i
 
     def pad(self, k: DeltaState) -> DeltaState:
         """Extend a trimmed offset histogram to the fixed g + 1 length."""
@@ -74,12 +74,6 @@ class StateSpace:
     @property
     def initial_index(self) -> int:
         return 0
-
-    def _rows(self, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != self.g + 1:
-            raise ConfigurationError(f"state rows must have shape (n, {self.g + 1})")
-        return rows
 
     def _levels(self, rows: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Prefix sums S_j = k_0 + ... + k_j for j < g, and the top level L.
@@ -95,16 +89,6 @@ class StateSpace:
         for s in prefix:
             top += s < self.m
         return prefix, top
-
-    def contains(self, rows) -> np.ndarray:
-        """Boolean mask: which rows of an (n, g + 1) array are valid states."""
-        rows = self._rows(rows)
-        prefix, top = self._levels(rows)
-        ok = (prefix[-1] + rows[:, self.g] == self.m) & (rows[:, 0] >= 1)
-        for level in range(1, self.g + 1):
-            k = rows[:, level]
-            ok &= (k >= 0) & ((top != level) | (k >= self.d))
-        return ok
 
     @cached_property
     def _rank_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,26 +107,32 @@ class StateSpace:
         return offsets, counts.ravel()
 
     def rank(self, rows) -> np.ndarray:
-        """Index of each row in `states`; rows must be members (see `contains`).
+        """Index of each row in `states`, or -1 for a row that is not a state.
 
-        A level-L state sits after the start state and the lower levels'
-        blocks. Within its block, compositions (c_0, ..., c_L) of spare come
-        in descending lexicographic order, so each part j < L adds the number
-        of compositions with the same earlier parts and a larger part j:
-        C(rem - 1 + L - j, L - j), where rem = spare - c_0 - ... - c_j =
-        m - d - S_j is what the later parts hold; the term is 0 when rem = 0.
-        For j >= L, S_j = m, so the table index is negative and clips to a
-        zero entry.
+        A state sums to m, has k_0 >= 1, no negative entry and at least d
+        counters on its top level L, and sits after the start state and the
+        lower levels' blocks. Within its block, compositions (c_0, ..., c_L)
+        of spare come in descending lexicographic order, so each part j < L
+        adds the count of compositions with the same earlier parts and a
+        larger part j: C(rem - 1 + L - j, L - j), where rem = spare - c_0 -
+        ... - c_j = m - d - S_j is what the later parts hold; the term is 0
+        when rem = 0. For j >= L, S_j = m, so the table index is negative
+        and clips to a zero entry, which ranks m = d's lone start state 0.
         """
-        rows = self._rows(rows)
-        if self.m == self.d:
-            return np.zeros(len(rows), dtype=np.int64)  # the start state is the only state
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != self.g + 1:
+            raise ConfigurationError(f"state rows must have shape (n, {self.g + 1})")
         offsets, counts = self._rank_table
         g = self.g
         prefix, top = self._levels(rows)
+        member = (prefix[-1] + rows[:, g] == self.m) & (rows[:, 0] >= 1)
+        for level in range(1, g + 1):
+            k = rows[:, level]
+            member &= (k >= 0) & ((top != level) | (k >= self.d))
         out = offsets[top]
         for j, s in enumerate(prefix):
             out += counts.take((self.m - self.d - s) * (g + 1) + (top - j), mode="clip")
+        out[~member] = -1
         return out
 
 

@@ -153,6 +153,13 @@ class TestArnoldiStart:
         assert start.min() >= 0.0 and start.sum() == pytest.approx(1.0, abs=1e-15)
         assert _residual(kernel, start) <= 1e-14
 
+    @pytest.mark.slow
+    def test_g5_lb_start_is_stationary(self):
+        # about 100 s and 1.2 GB; the largest-modulus Ritz value of this
+        # chain is 0.9687 - 0.2298i, and its vector has residual 1.4e-3
+        kernel = build_kernel(enumerate_states(50, 4, 5), "lb")
+        assert _residual(kernel, cusketch.bounds._start_vector(kernel)) <= 1e-14
+
     def _check(self, kernel, tol=1e-12):
         pi = stationary(kernel, tol=tol)
         assert _residual(kernel, pi) <= 2 * tol

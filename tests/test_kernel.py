@@ -1,6 +1,8 @@
+import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from cusketch.kernel import (
     beta_ub,
     build_kernel,
     check_kernel_size,
+    dump_kernel,
     gamma_lb,
     gamma_ub,
     transition_prob,
 )
 from cusketch.states import enumerate_states
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGammaLb:
@@ -214,7 +219,15 @@ class TestBuildKernel:
 
 
 class TestBuildChecks:
-    """Each consistency check of `build_kernel` trips on an injected fault."""
+    """Each consistency check of the event pass trips on an injected fault,
+    and so aborts both the build and the dump."""
+
+    @staticmethod
+    def _aborts(space, match):
+        with pytest.raises(InternalConsistencyError, match=match):
+            build_kernel(space, "lb")
+        with pytest.raises(InternalConsistencyError, match=match):
+            dump_kernel(space, "lb", io.StringIO())
 
     def test_closure(self, monkeypatch):
         shift_down = kernel_mod._shift_down
@@ -225,14 +238,12 @@ class TestBuildChecks:
             return out
 
         monkeypatch.setattr(kernel_mod, "_shift_down", off_by_one)
-        with pytest.raises(InternalConsistencyError, match="left the state space"):
-            build_kernel(enumerate_states(6, 3, 2), "lb")
+        self._aborts(enumerate_states(6, 3, 2), "left the state space")
 
     def test_row_sums(self, monkeypatch):
         comb_table = kernel_mod._comb_table
         monkeypatch.setattr(kernel_mod, "_comb_table", lambda n, r: comb_table(n, r) * 1.001)
-        with pytest.raises(InternalConsistencyError, match="row sums deviate"):
-            build_kernel(enumerate_states(6, 3, 2), "lb")
+        self._aborts(enumerate_states(6, 3, 2), "row sums deviate")
 
     def test_beta_range(self, monkeypatch):
         # C(n, r) = -1 instead of 0 for n < r: the liveness rule keeps every
@@ -246,16 +257,25 @@ class TestBuildChecks:
             return table
 
         monkeypatch.setattr(kernel_mod, "_comb_table", negative_zeros)
-        space = enumerate_states(5, 5, 2)
+        m, d, g = 5, 5, 2
+        space = enumerate_states(m, d, g)
+        # the faulted table's probabilities and betas, by hand from the event
+        # rule: only beta is out of range
+        table, denom = kernel_mod._comb_table(m, d), math.comb(m, d)
         row_sums = np.zeros(len(space))
         betas = []
-        for _, _, src, _, p, beta in kernel_mod._event_pass(space, "lb"):
-            np.add.at(row_sums, src, p)
-            betas.append(beta)
+        for i, k in enumerate(space.states.tolist()):
+            for v in range(g + 1):
+                above = sum(k[v + 1 :])
+                for c in range(1, d + 1):
+                    if k[v] >= c and above >= d - c:
+                        row_sums[i] += table[k[v], c] * table[above, d - c] / denom
+                        betas.append((table[above + c, d] - table[above, d]) / denom)
         assert np.abs(row_sums - 1.0).max() <= kernel_mod.ROW_SUM_TOL
-        assert np.concatenate(betas).max() > 1
+        assert max(betas) > 1
         with pytest.raises(InternalConsistencyError, match="beta values escaped"):
-            build_kernel(space, "lb")
+            next(kernel_mod._event_pass(space, "lb"))
+        self._aborts(space, "beta values escaped")
 
 
 class TestSizeGuard:
@@ -276,9 +296,9 @@ class TestSerialization:
     def test_dump_layout_round_trips(self, tmp_path):
         space = enumerate_states(4, 2, 2)
         kernel = build_kernel(space, "ub")
-        payload = kernel.to_dict()
         path = tmp_path / "kernel.json"
-        path.write_text(json.dumps(payload))
+        with open(path, "w") as fh:
+            dump_kernel(space, "ub", fh)
         loaded = json.loads(path.read_text())
         assert loaded["m"] == 4 and loaded["d"] == 2 and loaded["g"] == 2
         assert loaded["variant"] == "ub"
@@ -287,3 +307,38 @@ class TestSerialization:
         src, dst, v, c, p, beta = loaded["edges"][0]
         assert 0 <= src < len(space) and 0 <= dst < len(space)
         assert math.isclose(sum(e[4] for e in loaded["edges"]), len(space))
+        edges = kernel.edges()
+        assert [e[0] for e in loaded["edges"]] == edges.src.tolist()
+        assert [e[5] for e in loaded["edges"]] == edges.beta.tolist()
+        with pytest.raises(ConfigurationError):
+            space.pad((1, 1, 1, 1, 1))
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_dump_matches_recorded_copy_at_any_block_size(self, monkeypatch, variant, block_rows):
+        monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", block_rows)
+        fh = io.StringIO()
+        dump_kernel(enumerate_states(6, 3, 2), variant, fh)
+        assert fh.getvalue() == (DATA / f"kernel_6_3_2.{variant}.json").read_text()
+
+    def test_dump_memory_does_not_grow_with_the_edges(self, monkeypatch, tmp_path):
+        # The dump holds one block of text at a time, so its peak is set by
+        # the block size, not the edge count: with 256-row blocks this chain
+        # peaks at about 0.5x the kernel's stored bytes, where json.dump of
+        # the whole layout held every edge as Python lists at about 22x.
+        # Small blocks keep the traced run short (default blocks: 38 s and a
+        # 9.8 MB peak at (40, 4, 4), 0.63x its stored bytes).
+        monkeypatch.setattr(kernel_mod, "_BLOCK_ROWS", 256)
+        space = enumerate_states(20, 4, 4)
+        kernel = build_kernel(space, "lb")
+        p = kernel.p
+        stored = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes + kernel.r.nbytes
+        del kernel, p
+        tracemalloc.start()
+        try:
+            with open(tmp_path / "kernel.json", "w") as fh:
+                dump_kernel(space, "lb", fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stored
