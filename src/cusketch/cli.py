@@ -114,6 +114,19 @@ def _bound_key(variant: str) -> str:
     return "lower" if variant == "lb" else "upper"
 
 
+def _dump_whole(space, variant: str, path: str) -> None:
+    """Dump to a new file beside `path`, renamed onto it once whole, else removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            dump_kernel(space, variant, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _cmd_bounds(args):
     variants = _variants(args)
     chains = chain_values(args.m, args.d, args.g, args.t, variants)
@@ -128,8 +141,7 @@ def _cmd_bounds(args):
             if len(variants) > 1:
                 path = f"{path.removesuffix('.json')}.{variant}.json"
             try:
-                with open(path, "w") as fh:
-                    dump_kernel(space, variant, fh)
+                _dump_whole(space, variant, path)
             except OSError as exc:
                 raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from exc
             results[f"{variant}_kernel_dump"] = path

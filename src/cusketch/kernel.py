@@ -111,12 +111,13 @@ class Edges(NamedTuple):
 class TransitionKernel:
     """What the bounds read of one chain variant: P and the reward vector.
 
-    `p` is the transition matrix in CSR form, one row per source state,
-    duplicate (src, dst) pairs summed; `p.T` is P^T as a CSC view of the same
+    `p` is the transition matrix in CSR form, one row per source state with
+    sorted int32 column indices; `p.T` is P^T as a CSC view of the same
     arrays. `r` is the per-state expected error increment, the row sums of P
-    element-wise B. `n_edges` counts (state, event) pairs, which can exceed
-    `p.nnz`. `edges()` re-derives the per-event edge list from the event
-    pass that built P; each edge maps 1:1 to a case of the Gamma analysis.
+    element-wise B. `n_edges` counts (state, event) pairs; distinct events
+    of a state reach distinct targets, so it equals `p.nnz`. `edges()`
+    re-derives the per-event edge list from the event pass that built P;
+    each edge maps 1:1 to a case of the Gamma analysis.
     """
 
     space: StateSpace
@@ -136,14 +137,9 @@ class TransitionKernel:
         """Every edge in event order: (v, c) ascending, then source state."""
         v, c, src, dst, p, beta = zip(*_event_pass(self.space, self.variant))
         sizes = [len(rows) for rows in src]
-        return Edges(
-            src=np.concatenate(src),
-            dst=np.concatenate(dst),
-            v=np.repeat(np.array(v, dtype=np.int32), sizes),
-            c=np.repeat(np.array(c, dtype=np.int32), sizes),
-            p=np.concatenate(p),
-            beta=np.concatenate(beta),
-        )
+        v, c = (np.repeat(np.array(x, dtype=np.int32), sizes) for x in (v, c))
+        src, dst, p, beta = map(np.concatenate, (src, dst, p, beta))
+        return Edges(src, dst, v, c, p, beta)
 
 
 def _comb_table(nmax: int, rmax: int) -> np.ndarray:
@@ -175,15 +171,6 @@ def check_kernel_size(m: int, d: int, g: int) -> None:
         )
 
 
-def _shift_down(k: np.ndarray) -> np.ndarray:
-    """Rows (k_0 + k_1, k_2, ..., k_g, 0): the old minimum level emptied."""
-    out = np.empty_like(k)
-    out[:, :-1] = k[:, 1:]
-    out[:, 0] += k[:, 0]
-    out[:, -1] = 0
-    return out
-
-
 def _levels_above(space: StateSpace):
     """Yield (v, k_v, sum_{l > v} k_l) over all states, for each level v."""
     below = np.zeros(len(space), dtype=np.int64)  # sum_{l <= v} k_l
@@ -206,12 +193,15 @@ def _live(kv: np.ndarray, above: np.ndarray, c: int, d: int) -> np.ndarray:
 def _event_pass(space: StateSpace, variant: str):
     """Yield (v, c, src, dst, p, beta) per event (v, c) and block of sources.
 
-    The one place an edge is made, ranked and checked. Events come in (v, c)
-    ascending order and each event's live sources in ascending blocks of at
-    most _BLOCK_ROWS. The pass aborts on a target outside the state space
-    (rank -1: the Gamma maps are closed on it by construction), on a beta
-    outside [0, 1] in a block, and, after the last block, on a source whose
-    event probabilities do not sum to 1 within ROW_SUM_TOL.
+    The one place an edge is made, ranked and checked. One rule makes every
+    target: lift c counters from level v to v + 1 (UB's capped event also
+    lifts all of level 0), then shift a row whose level 0 is empty down one
+    level. LB's capped event alone is the frozen self-loop, with beta = 0.
+    Events come in (v, c) ascending order, each event's live sources in
+    ascending blocks of at most _BLOCK_ROWS. The pass aborts on a target
+    outside the state space (rank -1), on a beta outside [0, 1], and, after
+    the last block, on a source whose event probabilities do not sum to 1
+    within ROW_SUM_TOL.
     """
     if variant not in ("lb", "ub"):
         raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
@@ -228,32 +218,24 @@ def _event_pass(space: StateSpace, variant: str):
                 p = comb[kv[rows], c] * comb[above_r, d - c] / denom
                 beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
 
-                targets = space.states.T[:, rows].T  # a column-major copy, like `states`
-                if v == g and c == d:
-                    if variant == "lb":
-                        # frozen: self-loop, no error growth
-                        beta = np.zeros(len(rows))
-                    else:
-                        beta = (1 + denom - comb[m - targets[:, 0], d]) / denom
-                        # (k_0 + k_1, k_2, ..., k_g - d, d); (m - d, d) when g = 1
-                        targets = _shift_down(targets)
-                        targets[:, g - 1] -= d
-                        targets[:, g] = d
-                elif v == 0:
-                    full_min = targets[:, 0] == c
-                    moved = ~full_min
-                    targets[full_min] = _shift_down(targets[full_min])
-                    targets[moved, 0] -= c
-                    targets[moved, 1] += c
+                k = np.zeros((g + 2, len(rows)), dtype=np.int64)  # levels x sources
+                np.take(space.states.T, rows, axis=1, out=k[:-1])
+                capped = v == g and c == d
+                if capped and variant == "lb":
+                    beta = np.zeros(len(rows))  # frozen: self-loop, no error growth
                 else:
-                    targets[:, v] -= c
-                    targets[:, v + 1] += c
+                    if capped:  # the d maxima are boosted, and every minimum with them
+                        beta = (1 + denom - comb[m - k[0], d]) / denom
+                        k[1], k[0] = k[0] + k[1], 0
+                    k[v] -= c
+                    k[v + 1] += c
+                    empty = k[0] == 0
+                    k[:-1, empty] = k[1:, empty]
 
-                dst = space.rank(targets)
-                if (dst < 0).any():
+                dst = space.rank(k[:-1].T)  # column-major, like `states`
+                if (dst < 0).any():  # report the first row ranked -1
                     raise InternalConsistencyError(
-                        f"transition target left the state space: "
-                        f"{targets[np.flatnonzero(dst < 0)[0]].tolist()}"
+                        f"transition target left the state space: {k[:-1, dst.argmin()].tolist()}"
                     )
                 if not (beta.min() >= 0 and beta.max() <= 1):  # NaN fails too
                     raise InternalConsistencyError("beta values escaped [0, 1]")
@@ -267,24 +249,26 @@ def _event_pass(space: StateSpace, variant: str):
 def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     """Construct P and r from one vectorized pass over the events.
 
-    Each state's edges are counted first, so the edges are written straight
-    into the CSR arrays of P (rows = sources) at 12 B per edge; duplicate
-    pairs are then summed in place, so the kernel holds no second copy of
-    the matrix. Every consistency check runs inside `_event_pass`.
+    After the size guard, which keeps every index within int32, each state's
+    edges are counted and then written straight into P's CSR arrays (rows =
+    sources) at 12 B per edge. Each edge is one stored nonzero, as distinct
+    events of a state reach distinct targets: the total offset sum_l l k_l
+    changes by +c for a move that keeps level 0 occupied, c - m for the
+    all-minima move (c = k_0; 0 only at d = m, where it is the lone event),
+    d + k_0 - m <= 0 for UB's capped event and 0 for LB's frozen self-loop.
+    No two of these coincide, and two moves with equal c differ as vectors.
     """
+    check_kernel_size(space.m, space.d, space.g)
     n = len(space)
-    per_state = np.zeros(n, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     for _, kv, above in _levels_above(space):
         for c in range(1, space.d + 1):
-            per_state += _live(kv, above, c, space.d)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(per_state, out=indptr[1:])
+            indptr[1:] += _live(kv, above, c, space.d)  # each state's edge count
+    np.cumsum(indptr, out=indptr)
     n_edges = int(indptr[-1])
-    index_type = np.int32 if max(n, n_edges) < 2**31 else np.int64
-    indptr = indptr.astype(index_type)
-    cols = np.empty(n_edges, dtype=index_type)
+    cols = np.empty(n_edges, dtype=np.int32)
     data = np.empty(n_edges)
-    fill = indptr[:-1].astype(np.int64)  # next free slot in each source's row
+    fill = indptr[:-1].copy()  # next free slot in each source's row
 
     r = np.zeros(n)
     for _, _, rows, dst, p, beta in _event_pass(space, variant):
@@ -294,8 +278,7 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
         fill[rows] += 1
         r[rows] += p * beta
     p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-    del data, cols
-    p.sum_duplicates()
+    p.sort_indices()
     return TransitionKernel(space=space, variant=variant, n_edges=n_edges, p=p, r=r)
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cusketch.bounds
+import cusketch.cli
 from cusketch.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -66,7 +68,7 @@ class TestBounds:
         assert rc == EXIT_OK
         record = json.loads(out)
         for variant in ("lb", "ub"):
-            dumped = json.loads(open(record["results"][f"{variant}_kernel_dump"]).read())
+            dumped = json.loads(Path(record["results"][f"{variant}_kernel_dump"]).read_text())
             assert dumped["variant"] == variant and dumped["m"] == 4
 
     @pytest.mark.parametrize("variant", ["lb", "ub"])
@@ -88,6 +90,23 @@ class TestBounds:
         assert rc == EXIT_USAGE and out == ""
         assert err.startswith("error:") and str(path) in err
         assert "Traceback" not in err
+
+    def test_failed_kernel_dump_leaves_the_path_as_it_was(self, capsys, monkeypatch, tmp_path):
+        def full_disk(space, variant, fh):
+            fh.write('{"m": 6, "d"')
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cusketch.cli, "dump_kernel", full_disk)
+        path = tmp_path / "k.json"
+        path.write_bytes(b"earlier dump")
+        rc, out, err = run(
+            capsys, "bounds", "--m", "6", "--d", "3", "--g", "2", "--t", "5",
+            "--variant", "lb", "--dump-kernel", str(path),
+        )
+        assert rc == EXIT_USAGE and out == ""
+        assert str(path) in err and os.strerror(errno.ENOSPC) in err
+        assert path.read_bytes() == b"earlier dump"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_zero_horizon_is_usage_error_before_enumerating(self, capsys, monkeypatch):
         def enumerate_states(*args):

@@ -22,9 +22,15 @@ from cusketch.kernel import (
     gamma_ub,
     transition_prob,
 )
-from cusketch.states import enumerate_states
+from cusketch.states import StateSpace, enumerate_states
 
 DATA = Path(__file__).parent / "data"
+# Chains that reach every case of the event pass's target rule: d = 1,
+# d = m - 1 and d = m; g = 1 (UB's capped target is (m - d, d)) and g >= 2.
+SCALAR_GRID = [
+    (6, 3, 2), (5, 1, 1), (5, 1, 3), (6, 5, 1), (6, 5, 3),
+    (4, 4, 1), (4, 4, 3), (8, 2, 1), (7, 3, 4),
+]
 
 
 class TestGammaLb:
@@ -132,15 +138,15 @@ class TestBuildKernel:
         ]
 
     def test_matches_scalar_functions(self):
-        m, d, g = 6, 3, 2
-        space = enumerate_states(m, d, g)
-        for variant, gamma, beta in (("lb", gamma_lb, beta_lb), ("ub", gamma_ub, beta_ub)):
-            kernel = build_kernel(space, variant)
-            for src, dst, v, c, p, b in zip(*kernel.edges()):
-                k = space.state(src)
-                assert space.index(gamma(k, v, c, d)) == dst
-                assert p == pytest.approx(transition_prob(k, v, c, m, d), abs=1e-14)
-                assert b == pytest.approx(beta(k, v, c, m, d), abs=1e-14)
+        for m, d, g in SCALAR_GRID:
+            space = enumerate_states(m, d, g)
+            for variant, gamma, beta in (("lb", gamma_lb, beta_lb), ("ub", gamma_ub, beta_ub)):
+                kernel = build_kernel(space, variant)
+                for src, dst, v, c, p, b in zip(*kernel.edges()):
+                    k = space.state(src)
+                    assert space.index(gamma(k, v, c, d)) == dst
+                    assert p == pytest.approx(transition_prob(k, v, c, m, d), abs=1e-14)
+                    assert b == pytest.approx(beta(k, v, c, m, d), abs=1e-14)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -158,6 +164,8 @@ class TestBuildKernel:
         np.add.at(sums, edges.src, edges.p)
         assert np.abs(sums - 1.0).max() < 1e-12
         assert kernel.n_edges <= m * len(space)
+        assert kernel.p.nnz == kernel.n_edges
+        assert kernel.p.has_canonical_format  # distinct events reach distinct targets
 
     def test_edge_count_bound_per_row(self):
         space = enumerate_states(7, 3, 2)
@@ -177,6 +185,7 @@ class TestBuildKernel:
             edges = kernel.edges()
             n = len(space)
             assert kernel.n_edges == len(edges.src)
+            assert kernel.p.nnz == kernel.n_edges
             p = sp.csr_matrix((edges.p, (edges.src, edges.dst)), shape=(n, n))
             assert abs(kernel.transition_matrix() - p).max() == 0.0
             assert kernel.p.has_canonical_format
@@ -230,14 +239,14 @@ class TestBuildChecks:
             dump_kernel(space, "lb", io.StringIO())
 
     def test_closure(self, monkeypatch):
-        shift_down = kernel_mod._shift_down
+        rank = StateSpace.rank
 
-        def off_by_one(k):
-            out = shift_down(k)
-            out[:, 0] += 1
-            return out
+        def off_by_one(self, rows):
+            rows = np.array(rows, dtype=np.int64)
+            rows[:, 0] += 1
+            return rank(self, rows)
 
-        monkeypatch.setattr(kernel_mod, "_shift_down", off_by_one)
+        monkeypatch.setattr(StateSpace, "rank", off_by_one)
         self._aborts(enumerate_states(6, 3, 2), "left the state space")
 
     def test_row_sums(self, monkeypatch):
@@ -290,6 +299,12 @@ class TestSizeGuard:
     def test_invalid_parameters_are_configuration_errors(self):
         with pytest.raises(ConfigurationError):
             check_kernel_size(3, 4, 1)
+
+    def test_build_applies_the_guard(self):
+        # one row stands in for the 20.4M states: the guard reads (m, d, g) only
+        space = StateSpace(50, 4, 6, np.array([[50, 0, 0, 0, 0, 0, 0]]))
+        with pytest.raises(ConfigurationError, match="guard"):
+            build_kernel(space, "lb")
 
 
 class TestSerialization:
