@@ -7,9 +7,7 @@ oracle over distinct counter states (`simulate`), and a CLI (`cusketch`).
 """
 
 from .bounds import (
-    BoundResult,
     asymptotic_error,
-    compute_bounds,
     expected_error,
     occupancy_sequence,
     stationary,
@@ -56,7 +54,6 @@ BACKEND = "python"
 
 __all__ = [
     "BACKEND",
-    "BoundResult",
     "CappedSketch",
     "CounterArray",
     "IdealHashTable",
@@ -71,7 +68,6 @@ __all__ = [
     "beta_ub",
     "brute_force_expected_error",
     "build_kernel",
-    "compute_bounds",
     "cu_update",
     "delta_of",
     "enumerate_states",

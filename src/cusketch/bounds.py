@@ -7,13 +7,16 @@ row sums of P element-wise B), the finite-horizon bound is
 (1/T) sum_{t<T} e_0^T P^t r. It is summed backward, h <- r + P h, which
 reads P row by row; the long-run bound weights the stationary vector of the
 chain by r.
+
+`chain_values` is the one entry point: it guards, builds and evaluates each
+chain and returns its value, edge count and seconds. `expected_error` and
+`asymptotic_error` are its only views, one chain's value each.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -36,20 +39,6 @@ ARNOLDI_NCV = 20
 RESIDUAL_FLOOR = 8 * np.finfo(float).eps
 # Power steps after which `stationary` raises NonConvergenceError.
 MAX_POWER_ITERS = 10**6
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """Lower/upper bound pair for one (m, d, g) at horizon T (None = limit)."""
-
-    m: int
-    d: int
-    g: int
-    T: int | None
-    lower: float
-    upper: float
-    lower_seconds: float
-    upper_seconds: float
 
 
 def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]:
@@ -246,9 +235,3 @@ def asymptotic_error(
 ) -> float:
     """Long-run bound: the limit of the finite-horizon bound as T grows."""
     return chain_values(m, d, g, None, (variant,), tol)[variant].value
-
-
-def compute_bounds(m: int, d: int, g: int, T: int | None) -> BoundResult:
-    """Both bounds with per-variant wall times; T=None means the T -> oo limit."""
-    lb, ub = chain_values(m, d, g, T).values()
-    return BoundResult(m, d, g, T, lb.value, ub.value, lb.seconds, ub.seconds)

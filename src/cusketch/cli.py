@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from . import closed_form as cf
-from .bounds import chain_values, compute_bounds
+from .bounds import chain_values
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from .kernel import build_kernel, dump_kernel
 from .simulate import (
@@ -218,19 +218,19 @@ def _cmd_table1(args):
         )
     rows = []
     for g in range(1, args.gmax + 1):
-        res = compute_bounds(m=50, d=4, g=g, T=250)
+        lb, ub = chain_values(50, 4, g, 250).values()
         rows.append(
             {
                 "g": g,
-                "lower": res.lower,
-                "upper": res.upper,
-                "lower_seconds": res.lower_seconds,
-                "upper_seconds": res.upper_seconds,
+                "lower": lb.value,
+                "upper": ub.value,
+                "lower_seconds": lb.seconds,
+                "upper_seconds": ub.seconds,
             }
         )
         print(
-            f"g={g}  lower={res.lower:.5f}  upper={res.upper:.5f}  "
-            f"({res.lower_seconds + res.upper_seconds:.2f} s)",
+            f"g={g}  lower={lb.value:.5f}  upper={ub.value:.5f}  "
+            f"({lb.seconds + ub.seconds:.2f} s)",
             file=sys.stderr,
         )
     return {"m": 50, "d": 4, "t": 250, "gmax": args.gmax}, {"rows": rows}

@@ -114,17 +114,21 @@ class TransitionKernel:
     `p` is the transition matrix in CSR form, one row per source state with
     sorted int32 column indices; `p.T` is P^T as a CSC view of the same
     arrays. `r` is the per-state expected error increment, the row sums of P
-    element-wise B. `n_edges` counts (state, event) pairs; distinct events
-    of a state reach distinct targets, so it equals `p.nnz`. `edges()`
-    re-derives the per-event edge list from the event pass that built P;
-    each edge maps 1:1 to a case of the Gamma analysis.
+    element-wise B. `n_edges` counts (state, event) pairs and is read off
+    P: distinct events of a state reach distinct targets, so each edge is
+    one stored nonzero. `edges()` re-derives the per-event edge list from
+    the event pass that built P; each edge maps 1:1 to a case of the Gamma
+    analysis.
     """
 
     space: StateSpace
     variant: str  # "lb" or "ub"
-    n_edges: int
     p: sp.csr_matrix
     r: np.ndarray
+
+    @property
+    def n_edges(self) -> int:
+        return self.p.nnz
 
     def transition_matrix(self) -> sp.csr_matrix:
         return self.p
@@ -279,7 +283,7 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
         r[rows] += p * beta
     p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     p.sort_indices()
-    return TransitionKernel(space=space, variant=variant, n_edges=n_edges, p=p, r=r)
+    return TransitionKernel(space=space, variant=variant, p=p, r=r)
 
 
 def dump_kernel(space: StateSpace, variant: str, fh: TextIO) -> None:

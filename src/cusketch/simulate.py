@@ -70,7 +70,10 @@ _MASK64 = (1 << 64) - 1
 
 def mix64(seed: int, run_index: int) -> int:
     """splitmix64 finalizer over seed + run * golden-gamma; the documented
-    per-run substream derivation."""
+    per-run substream derivation. A seed outside [0, 2**64) is refused, as
+    the 64-bit mask would alias it to another seed."""
+    if not 0 <= seed <= _MASK64:
+        raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
     z = (seed + run_index * _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

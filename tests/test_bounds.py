@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from cusketch.bounds import (
     _stationary_direct,
     asymptotic_error,
     chain_values,
-    compute_bounds,
     expected_error,
     expected_error_from_kernel,
     occupancy_sequence,
@@ -18,6 +18,7 @@ from cusketch.bounds import (
 )
 from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from cusketch.kernel import build_kernel
+from cusketch.simulate import brute_force_expected_error
 from cusketch.states import enumerate_states
 
 
@@ -64,6 +65,15 @@ class TestExpectedError:
     def test_bounds_bracket_exact_value_at_horizon_two(self):
         exact = 4 / 9  # brute-force expectation of the average error
         assert expected_error(3, 2, 1, 2, "lb") < exact < expected_error(3, 2, 1, 2, "ub")
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("m,d,T", [(3, 2, 10), (4, 2, 8), (5, 3, 6), (6, 3, 5)])
+    def test_bounds_bracket_the_oracle_with_a_binding_cap(self, m, d, T, g):
+        # g < T, so the cap binds; the tightest case, (6, 3, 5) at g = 3, is
+        # about 1.1e-5 above the lower bound
+        exact = brute_force_expected_error(m, d, T).per_step
+        lower, upper = (Fraction(expected_error(m, d, g, T, v)) for v in ("lb", "ub"))
+        assert lower <= exact <= upper
 
     def test_monotone_in_g(self):
         m, d, T = 10, 3, 20
@@ -253,6 +263,8 @@ class TestAsymptotic:
 
 
 class TestComputeBounds:
+    """Both chains at once, as `table1` and `bounds` evaluate them through `chain_values`."""
+
     # (lower, upper) at m=50, d=4, T=250, recorded before the kernel stored
     # only P^T and r; the rewrite must reproduce them to summation order.
     TABLE1 = {
@@ -263,10 +275,10 @@ class TestComputeBounds:
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_table1_rows_pinned(self, g):
-        res = compute_bounds(50, 4, g, 250)
+        lb, ub = chain_values(50, 4, g, 250).values()
         lower, upper = self.TABLE1[g]
-        assert abs(res.lower - lower) <= 1e-12
-        assert abs(res.upper - upper) <= 1e-12
+        assert abs(lb.value - lower) <= 1e-12
+        assert abs(ub.value - upper) <= 1e-12
 
     def test_oversized_chain_refused_before_enumeration(self, monkeypatch):
         def enumerate_states(*args):
@@ -274,25 +286,27 @@ class TestComputeBounds:
 
         monkeypatch.setattr(cusketch.bounds, "enumerate_states", enumerate_states)
         with pytest.raises(ConfigurationError, match="guard"):
-            compute_bounds(50, 4, 6, 10)
+            chain_values(50, 4, 6, 10)
         with pytest.raises(ConfigurationError, match="guard"):
             asymptotic_error(50, 4, 6, "lb")
         with pytest.raises(ConfigurationError, match="guard"):
             expected_error(50, 4, 6, 10, "ub")
 
     def test_returns_ordered_pair_with_timings(self):
-        res = compute_bounds(6, 2, 2, 40)
-        assert 0.0 <= res.lower <= res.upper <= 1.0
-        assert res.lower_seconds >= 0 and res.upper_seconds >= 0
+        chains = chain_values(6, 2, 2, 40)
+        assert list(chains) == ["lb", "ub"]
+        lb, ub = chains.values()
+        assert 0.0 <= lb.value <= ub.value <= 1.0
+        assert lb.seconds >= 0 and ub.seconds >= 0
 
     def test_asymptotic_mode(self):
-        res = compute_bounds(3, 2, 1, None)
-        assert res.lower == pytest.approx(2 / 5, abs=1e-10)
-        assert res.upper == pytest.approx(3 / 5, abs=1e-10)
+        lb, ub = chain_values(3, 2, 1, None).values()
+        assert lb.value == pytest.approx(2 / 5, abs=1e-10)
+        assert ub.value == pytest.approx(3 / 5, abs=1e-10)
 
     @pytest.mark.parametrize("T", [40, None])
     def test_one_kernel_alive_at_a_time(self, kernel_refs, T):
-        compute_bounds(6, 2, 2, T)
+        chain_values(6, 2, 2, T)
         assert len(kernel_refs) == 2
         assert all(ref() is None for ref in kernel_refs)
 
@@ -306,5 +320,3 @@ class TestChainValues:
             assert chain.value == expected_error(6, 2, 2, 40, variant)
             assert chain.n_edges == build_kernel(space, variant).n_edges
             assert chain.seconds >= 0
-        res = compute_bounds(6, 2, 2, 40)
-        assert (res.lower, res.upper) == (chains["lb"].value, chains["ub"].value)

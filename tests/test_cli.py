@@ -9,6 +9,7 @@ import pytest
 
 import cusketch.bounds
 import cusketch.cli
+from cusketch.bounds import chain_values
 from cusketch.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -262,6 +263,14 @@ class TestSimulate:
         assert rc == EXIT_USAGE
         assert out == "" and "lb/ub" in err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        rc, out, err = run(
+            capsys, "simulate", "--m", "5", "--d", "2", "--t", "10",
+            "--runs", "3", "--seed", "-1",
+        )
+        assert rc == EXIT_USAGE
+        assert out == "" and err.startswith("error:") and "seed" in err and "-1" in err
+
     def test_capped_variant_needs_cap(self, capsys):
         rc, _, err = run(
             capsys, "simulate", "--m", "5", "--d", "2", "--t", "50",
@@ -331,14 +340,25 @@ class TestTable1:
     def test_warning_for_large_gmax_precedes_work(self, capsys, monkeypatch):
         import cusketch.cli as cli_mod
 
-        def boom(**kwargs):
+        def boom(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli_mod, "compute_bounds", boom)
+        monkeypatch.setattr(cli_mod, "chain_values", boom)
         with pytest.raises(KeyboardInterrupt):
             run(capsys, "table1", "--gmax", "4")
         _, err = capsys.readouterr()
         assert "warning" in err
+
+    def test_rows_are_the_chain_values(self, capsys):
+        rc, out, _ = run(capsys, "table1", "--gmax", "2")
+        assert rc == EXIT_OK
+        rows = json.loads(out)["results"]["rows"]
+        assert [row["g"] for row in rows] == [1, 2]
+        for row in rows:
+            chains = chain_values(50, 4, row["g"], 250)
+            for variant, key in (("lb", "lower"), ("ub", "upper")):
+                assert row[key] == format(chains[variant].value, ".17g")
+                assert float(row[f"{key}_seconds"]) >= 0
 
 
 class TestVerify:

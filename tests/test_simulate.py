@@ -50,6 +50,15 @@ class TestSubstreams:
         assert a == mix64(12345, 7)
         assert 0 <= a < 2**64
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_mix64_accepts_every_64_bit_seed(self, seed):
+        assert 0 <= mix64(seed, 3) < 2**64
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_mix64_refuses_a_seed_the_mask_would_alias(self, seed):
+        with pytest.raises(ConfigurationError, match=f"seed .*got {seed}"):
+            mix64(seed, 0)
+
     def test_runs_get_distinct_streams(self):
         outputs = {mix64(42, r) for r in range(1000)}
         assert len(outputs) == 1000
