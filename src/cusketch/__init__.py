@@ -6,22 +6,9 @@ forms for d = m - 1 (`closed_form`), the Monte-Carlo engine and the exact
 oracle over distinct counter states (`simulate`), and a CLI (`cusketch`).
 """
 
-from .bounds import (
-    asymptotic_error,
-    expected_error,
-    occupancy_sequence,
-    stationary,
-)
+from .bounds import asymptotic_error, expected_error
 from .config import SketchConfig
-from .kernel import (
-    TransitionKernel,
-    beta_lb,
-    beta_ub,
-    build_kernel,
-    gamma_lb,
-    gamma_ub,
-    transition_prob,
-)
+from .kernel import TransitionKernel, build_kernel
 from .simulate import (
     OracleResult,
     SimConfig,
@@ -64,8 +51,6 @@ __all__ = [
     "StateSpace",
     "TransitionKernel",
     "asymptotic_error",
-    "beta_lb",
-    "beta_ub",
     "brute_force_expected_error",
     "build_kernel",
     "cu_update",
@@ -73,17 +58,12 @@ __all__ = [
     "enumerate_states",
     "estimate_error",
     "expected_error",
-    "gamma_lb",
-    "gamma_ub",
     "gap",
     "lb_update",
-    "occupancy_sequence",
     "query",
     "run_trajectory",
     "sandwich_trace",
     "state_space_size",
-    "stationary",
-    "transition_prob",
     "ub_update",
     "uniform_select",
     "worst_case_probe",

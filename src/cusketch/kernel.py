@@ -2,10 +2,12 @@
 
 An update step is summarized by the event (v, c): v is the offset level of
 the selected minimum and c the number of selected counters at that level.
-Given the event, the next state is deterministic (the Gamma maps below);
-the event probability depends only on the current state, and the beta
-kernel gives the conditional probability that an absent item's estimate
-grows by one during the transition.
+Given the event, the next state is deterministic; the event probability
+depends only on the current state, and beta is the conditional probability
+that an absent item's estimate grows by one during the transition. The
+event pass, `_event_pass`, is the one derivation of targets, probabilities
+and betas; the test suite checks every row of P and r it yields, on small
+chains, against the sketch's update rule applied to each d-subset.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, InternalConsistencyError
-from .states import DeltaState, StateSpace, state_space_size, validate_params
+from .states import StateSpace, state_space_size, validate_params
 
 ROW_SUM_TOL = 1e-12
 # Largest transition matrix, in estimated bytes, that a chain may build; see
@@ -31,69 +33,6 @@ BYTES_PER_EDGE = 12
 # Each event's sources are handled in blocks of at most this many, so a
 # large chain keeps each block's temporaries small enough to stay in cache.
 _BLOCK_ROWS = 1 << 14
-
-
-def _check_event(k: DeltaState, v: int, c: int, d: int) -> None:
-    g = len(k) - 1
-    if not 0 <= v <= g:
-        raise ConfigurationError(f"level v={v} outside [0, {g}]")
-    if not 1 <= c <= min(d, k[v]):
-        raise ConfigurationError(f"count c={c} outside [1, min(d={d}, k_v={k[v]})]")
-
-
-def gamma_lb(k: DeltaState, v: int, c: int, d: int) -> DeltaState:
-    """Next state of the LB chain after event (v, c)."""
-    _check_event(k, v, c, d)
-    g = len(k) - 1
-    if v == g and c == d:
-        return tuple(k)  # frozen step
-    if v == 0 and c == k[0]:
-        # every minimum counter increments: the whole histogram shifts down
-        return (k[0] + k[1],) + tuple(k[2:]) + (0,)
-    out = list(k)
-    out[v] -= c
-    out[v + 1] += c
-    return tuple(out)
-
-
-def gamma_ub(k: DeltaState, v: int, c: int, d: int) -> DeltaState:
-    """Next state of the UB chain; differs from LB only at the (g, d) event."""
-    _check_event(k, v, c, d)
-    g = len(k) - 1
-    if v == g and c == d:
-        m = sum(k)
-        if g == 1:
-            return (m - d, d)
-        return (k[0] + k[1],) + tuple(k[2 : g]) + (k[g] - d, d)
-    return gamma_lb(k, v, c, d)
-
-
-def transition_prob(k: DeltaState, v: int, c: int, m: int, d: int) -> float:
-    """Probability of event (v, c) from state k; same for both chains."""
-    _check_event(k, v, c, d)
-    above = sum(k[v + 1 :])
-    return math.comb(k[v], c) * math.comb(above, d - c) / math.comb(m, d)
-
-
-def beta_lb(k: DeltaState, v: int, c: int, m: int, d: int) -> float:
-    """Conditional error-increment probability for the LB chain."""
-    _check_event(k, v, c, d)
-    g = len(k) - 1
-    if v == g and c == d:
-        return 0.0  # frozen step: no counter moves
-    above = sum(k[v + 1 :])
-    return (math.comb(above + c, d) - math.comb(above, d)) / math.comb(m, d)
-
-
-def beta_ub(k: DeltaState, v: int, c: int, m: int, d: int) -> float:
-    """Conditional error-increment probability for the UB chain."""
-    _check_event(k, v, c, d)
-    g = len(k) - 1
-    if v == g and c == d:
-        # the absent item's estimate grows if its subset is exactly the d
-        # boosted maxima, or touches any of the k_0 boosted minima
-        return (1 + math.comb(m, d) - math.comb(m - k[0], d)) / math.comb(m, d)
-    return beta_lb(k, v, c, m, d)
 
 
 class Edges(NamedTuple):
@@ -117,8 +56,8 @@ class TransitionKernel:
     element-wise B. `n_edges` counts (state, event) pairs and is read off
     P: distinct events of a state reach distinct targets, so each edge is
     one stored nonzero. `edges()` re-derives the per-event edge list from
-    the event pass that built P; each edge maps 1:1 to a case of the Gamma
-    analysis.
+    the event pass that built P; each edge is one event (v, c) of one
+    source state.
     """
 
     space: StateSpace

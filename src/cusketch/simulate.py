@@ -68,12 +68,16 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 
-def mix64(seed: int, run_index: int) -> int:
-    """splitmix64 finalizer over seed + run * golden-gamma; the documented
-    per-run substream derivation. A seed outside [0, 2**64) is refused, as
-    the 64-bit mask would alias it to another seed."""
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64): the 64-bit mask would alias it to another seed."""
     if not 0 <= seed <= _MASK64:
         raise ConfigurationError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def mix64(seed: int, run_index: int) -> int:
+    """splitmix64 finalizer over seed + run * golden-gamma; the documented
+    per-run substream derivation. Refuses a seed as `_check_seed` does."""
+    _check_seed(seed)
     z = (seed + run_index * _GOLDEN_GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -100,6 +104,7 @@ class SimConfig:
             raise ConfigurationError(f"T must be >= 1, got {self.T}")
         if self.runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
+        _check_seed(self.seed)
         if self.variant not in _VARIANT_CODES:
             raise ConfigurationError(f"variant must be one of cu/lb/ub, got {self.variant!r}")
         if self.variant != "cu" and (self.g is None or self.g < 1):

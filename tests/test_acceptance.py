@@ -25,9 +25,11 @@ import pytest
 
 from cusketch.bounds import asymptotic_error, expected_error, occupancy_sequence
 from cusketch.closed_form import bd_gap_tail, g1_asymptotic
-from cusketch.kernel import build_kernel, transition_prob
+from cusketch.kernel import build_kernel
 from cusketch.simulate import (
+    _VARIANT_CODES,
     SimConfig,
+    _run_steps,
     brute_force_expected_error,
     estimate_error,
     sandwich_trace,
@@ -190,24 +192,6 @@ def test_criterion_6_pathwise_sandwich(capsys):
     assert ok, detail
 
 
-def _empirical_event_frequencies(k, m, d, n_draws, rng):
-    """Sample selections against counters realizing state k and tally the
-    observed (minimum offset level, count at that level) events."""
-    values = []
-    for level, count in enumerate(k):
-        values.extend([level] * count)
-    values = np.array(values)
-    config = SketchConfig(m, d)
-    counts: dict[tuple[int, int], int] = {}
-    for _ in range(n_draws):
-        sel = list(uniform_select(config, rng))
-        picked = values[sel]
-        v = int(picked.min())
-        c = int((picked == v).sum())
-        counts[(v, c)] = counts.get((v, c), 0) + 1
-    return counts
-
-
 def test_criterion_7_kernel_soundness(capsys):
     ok = True
     details = []
@@ -227,24 +211,45 @@ def test_criterion_7_kernel_soundness(capsys):
                         ok = False
                         details.append(f"kernel m={m} d={d} g={g} {variant}: {exc}")
 
+    # Sampled selections, stepped by the LB and UB rules, reach each target
+    # of the sampled states as often as P's row says.
     m, d, g, n_draws = 8, 3, 2, 20000
     space = enumerate_states(m, d, g)
+    config = SketchConfig(m, d)
+    rows = {variant: build_kernel(space, variant).p for variant in ("lb", "ub")}
     rng = substream(4242, 0)
     state_ids = rng.choice(len(space), size=10, replace=False)
     for i in state_ids:
         k = space.state(int(i))
-        freq = _empirical_event_frequencies(k, m, d, n_draws, rng)
-        for v in range(g + 1):
-            if k[v] < 1:
+        counters = [level for level, count in enumerate(k) for _ in range(count)]
+        tallies = {variant: {} for variant in rows}  # offset tuple -> draws reaching it
+        for _ in range(n_draws):
+            sel = [uniform_select(config, rng)]
+            for variant, tally in tallies.items():
+                child = counters.copy()
+                _run_steps(child, sel, _VARIANT_CODES[variant], g)
+                low = min(child)
+                key = tuple(sorted(x - low for x in child))
+                tally[key] = tally.get(key, 0) + 1
+        for variant, tally in tallies.items():
+            histograms = [[key.count(level) for level in range(g + 1)] for key in tally]
+            targets = space.rank(histograms)
+            if (targets < 0).any():
+                ok = False
+                details.append(f"state {k} {variant}: a draw left the state space")
                 continue
-            for c in range(1, min(d, k[v]) + 1):
-                p = transition_prob(k, v, c, m, d)
-                observed = freq.get((v, c), 0) / n_draws
+            observed = np.zeros(len(space))
+            np.add.at(observed, targets, list(tally.values()))
+            observed /= n_draws
+            expected = rows[variant][int(i)].toarray().ravel()
+            for j in np.flatnonzero((observed > 0) | (expected > 0)):
+                p = expected[j]
                 stderr = math.sqrt(p * (1 - p) / n_draws)
-                if abs(observed - p) > 3 * stderr + 1e-12:
+                if abs(observed[j] - p) > 3 * stderr + 1e-12:
                     ok = False
                     details.append(
-                        f"state {k} event ({v},{c}): {observed:.4f} vs {p:.4f}"
+                        f"state {k} {variant} target {space.state(j)}: "
+                        f"{observed[j]:.4f} vs {p:.4f}"
                     )
     _verdict(capsys, 7, "kernel soundness m<=12 g<=4", ok, "; ".join(details))
     assert ok, details

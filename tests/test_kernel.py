@@ -2,6 +2,7 @@ import io
 import json
 import math
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,103 +13,127 @@ from hypothesis import strategies as st
 
 import cusketch.kernel as kernel_mod
 from cusketch.errors import ConfigurationError, InternalConsistencyError
-from cusketch.kernel import (
-    beta_lb,
-    beta_ub,
-    build_kernel,
-    check_kernel_size,
-    dump_kernel,
-    gamma_lb,
-    gamma_ub,
-    transition_prob,
-)
+from cusketch.kernel import build_kernel, check_kernel_size, dump_kernel
+from cusketch.simulate import _VARIANT_CODES, _expected_min_numerator, _run_steps
 from cusketch.states import StateSpace, enumerate_states
 
 DATA = Path(__file__).parent / "data"
-# Chains that reach every case of the event pass's target rule: d = 1,
-# d = m - 1 and d = m; g = 1 (UB's capped target is (m - d, d)) and g >= 2.
-SCALAR_GRID = [
-    (6, 3, 2), (5, 1, 1), (5, 1, 3), (6, 5, 1), (6, 5, 3),
-    (4, 4, 1), (4, 4, 3), (8, 2, 1), (7, 3, 4),
+# Every chain with m <= 10, g <= 4 and at most 3,000 (state, subset) pairs:
+# 187 of them, covering d = 1, d = m - 1, d = m, g = 1 .. 4 and binding caps.
+RULE_GRID = [
+    (m, d, g)
+    for m in range(2, 11)
+    for d in range(1, m + 1)
+    for g in range(1, 5)
+    if math.comb(m + g - d, g) * math.comb(m, d) <= 3000
 ]
 
 
+def _rule_rows(space, variant):
+    """P, r and each edge's beta of one chain, from the sketch's update rule alone.
+
+    Each state's offset histogram becomes counters (k_l of them at value l),
+    and a copy steps once through every d-subset with `_run_steps`, the
+    simulator's stepper. P's entry is the number of subsets reaching the
+    target over C(m, d), divided once. The rise of a subset is the change in
+    C(m, d) times the absent item's expected error; r's entry sums the
+    rises over C(m, d)^2, and an edge's beta is its subsets' mean rise over
+    C(m, d).
+    """
+    m, d, g = space.m, space.d, space.g
+    subsets = list(combinations(range(m), d))
+    n, per = len(space), len(subsets)
+    children, rises = [], []
+    for k in space.states.tolist():
+        parent = [level for level, count in enumerate(k) for _ in range(count)]
+        before = _expected_min_numerator(parent, d)
+        for subset in subsets:
+            child = parent.copy()
+            _run_steps(child, [subset], _VARIANT_CODES[variant], g)
+            low = min(child)
+            children.append([child.count(low + level) for level in range(g + 1)])
+            rises.append(_expected_min_numerator(child, d) - before)
+    dst = space.rank(children)  # a child with an offset above g sums short of m: -1
+    assert (dst >= 0).all(), "the rule left the state space"
+    src = np.repeat(np.arange(n), per)
+    hits, rise = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    np.add.at(hits, (src, dst), 1)
+    np.add.at(rise, (src, dst), rises)
+    beta = np.divide(rise, hits * per, out=np.zeros((n, n)), where=hits > 0)
+    return hits / per, rise.sum(axis=1) / per**2, beta
+
+
+def _event(k, v, c, d, variant):
+    """(target, p, beta) of event (v, c) at state k, read off the kernel's
+    edges; None where the event cannot happen."""
+    space = enumerate_states(sum(k), d, len(k) - 1)
+    edges = build_kernel(space, variant).edges()
+    at = np.flatnonzero((edges.src == space.index(k)) & (edges.v == v) & (edges.c == c))
+    if not len(at):
+        return None
+    (j,) = at
+    return space.state(edges.dst[j]), float(edges.p[j]), float(edges.beta[j])
+
+
 class TestGammaLb:
+    """Hand examples of the LB chain's targets."""
+
     def test_identity_on_capped_full_selection(self):
-        assert gamma_lb((1, 2), 1, 2, d=2) == (1, 2)
+        assert _event((1, 2), 1, 2, 2, "lb")[0] == (1, 2)
 
     def test_full_minimum_shifts_down(self):
-        assert gamma_lb((1, 2), 0, 1, d=2) == (3, 0)
+        assert _event((1, 2), 0, 1, 2, "lb")[0] == (3, 0)
 
     def test_partial_move_between_levels(self):
-        assert gamma_lb((1, 2, 2), 1, 1, d=2) == (1, 1, 3)
-
-    def test_invalid_event_rejected(self):
-        with pytest.raises(ConfigurationError):
-            gamma_lb((1, 2), 1, 3, d=2)  # c > d
-        with pytest.raises(ConfigurationError):
-            gamma_lb((1, 2), 0, 2, d=2)  # c > k_0
-        with pytest.raises(ConfigurationError):
-            gamma_lb((1, 2), 2, 1, d=2)  # v > g
+        assert _event((1, 2, 2), 1, 1, 2, "lb")[0] == (1, 1, 3)
 
 
 class TestGammaUb:
+    """Hand examples of the UB chain's targets."""
+
     def test_boost_at_cap_g1(self):
-        assert gamma_ub((1, 2), 1, 2, d=2) == (1, 2)  # (m - d, d) = (1, 2)
+        assert _event((1, 2), 1, 2, 2, "ub")[0] == (1, 2)  # (m - d, d) = (1, 2)
 
     def test_matches_lb_off_cap(self):
-        assert gamma_ub((1, 2), 0, 1, d=2) == gamma_lb((1, 2), 0, 1, d=2) == (3, 0)
+        assert _event((1, 2), 0, 1, 2, "ub")[0] == _event((1, 2), 0, 1, 2, "lb")[0] == (3, 0)
 
     def test_boost_at_cap_g2(self):
-        assert gamma_ub((1, 2, 4), 2, 2, d=2) == (3, 2, 2)
+        assert _event((1, 2, 4), 2, 2, 2, "ub")[0] == (3, 2, 2)
 
     def test_boost_at_cap_g3(self):
         # (k0+k1, k2, k3-d, d)
-        assert gamma_ub((1, 1, 2, 3), 3, 3, d=3) == (2, 2, 0, 3)
+        assert _event((1, 1, 2, 3), 3, 3, 3, "ub")[0] == (2, 2, 0, 3)
 
 
 class TestTransitionProb:
     def test_examples(self):
-        assert transition_prob((1, 2), 0, 1, m=3, d=2) == pytest.approx(2 / 3)
-        assert transition_prob((1, 2), 1, 2, m=3, d=2) == pytest.approx(1 / 3)
-        assert transition_prob((1, 2), 1, 1, m=3, d=2) == 0.0
+        assert _event((1, 2), 0, 1, 2, "lb")[1] == pytest.approx(2 / 3)
+        assert _event((1, 2), 1, 2, 2, "lb")[1] == pytest.approx(1 / 3)
+        assert _event((1, 2), 1, 1, 2, "lb") is None  # probability 0: no edge
 
     def test_events_from_a_state_sum_to_one(self):
         for m, d, g in [(5, 2, 2), (6, 3, 2), (7, 4, 3)]:
-            space = enumerate_states(m, d, g)
-            for i in range(len(space)):
-                k = space.state(i)
-                total = sum(
-                    transition_prob(k, v, c, m, d)
-                    for v in range(g + 1)
-                    if k[v] >= 1
-                    for c in range(1, min(d, k[v]) + 1)
-                )
-                assert total == pytest.approx(1.0, abs=1e-12)
+            for variant in ("lb", "ub"):
+                kernel = build_kernel(enumerate_states(m, d, g), variant)
+                assert np.abs(kernel.p.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 class TestBeta:
     def test_lb_examples(self):
-        assert beta_lb((3, 0), 0, 2, m=3, d=2) == pytest.approx(1 / 3)
-        assert beta_lb((1, 2), 0, 1, m=3, d=2) == pytest.approx(2 / 3)
-        assert beta_lb((1, 2), 1, 2, m=3, d=2) == 0.0
+        assert _event((3, 0), 0, 2, 2, "lb")[2] == pytest.approx(1 / 3)
+        assert _event((1, 2), 0, 1, 2, "lb")[2] == pytest.approx(2 / 3)
+        assert _event((1, 2), 1, 2, 2, "lb")[2] == 0.0
 
     def test_ub_examples(self):
-        assert beta_ub((1, 2), 1, 2, m=3, d=2) == pytest.approx(1.0)
-        assert beta_ub((1, 2), 0, 1, m=3, d=2) == pytest.approx(2 / 3)
-        assert beta_ub((1, 4), 1, 2, m=5, d=2) == pytest.approx(5 / 10)
+        assert _event((1, 2), 1, 2, 2, "ub")[2] == pytest.approx(1.0)
+        assert _event((1, 2), 0, 1, 2, "ub")[2] == pytest.approx(2 / 3)
+        assert _event((1, 4), 1, 2, 2, "ub")[2] == pytest.approx(5 / 10)
 
     def test_all_betas_within_unit_interval(self):
         for m, d, g in [(4, 2, 1), (6, 3, 2), (8, 7, 3), (5, 5, 2)]:
-            space = enumerate_states(m, d, g)
-            for variant, beta in (("lb", beta_lb), ("ub", beta_ub)):
-                for i in range(len(space)):
-                    k = space.state(i)
-                    for v in range(g + 1):
-                        if k[v] < 1:
-                            continue
-                        for c in range(1, min(d, k[v]) + 1):
-                            assert 0.0 <= beta(k, v, c, m, d) <= 1.0
+            for variant in ("lb", "ub"):
+                beta = build_kernel(enumerate_states(m, d, g), variant).edges().beta
+                assert 0.0 <= beta.min() and beta.max() <= 1.0
 
 
 def _rows_by_source(kernel):
@@ -137,16 +162,17 @@ class TestBuildKernel:
             (1, 1, 2, pytest.approx(1 / 3), pytest.approx(1.0)),
         ]
 
-    def test_matches_scalar_functions(self):
-        for m, d, g in SCALAR_GRID:
+    def test_rows_follow_the_update_rule(self):
+        for m, d, g in RULE_GRID:
             space = enumerate_states(m, d, g)
-            for variant, gamma, beta in (("lb", gamma_lb, beta_lb), ("ub", gamma_ub, beta_ub)):
+            for variant in ("lb", "ub"):
                 kernel = build_kernel(space, variant)
-                for src, dst, v, c, p, b in zip(*kernel.edges()):
-                    k = space.state(src)
-                    assert space.index(gamma(k, v, c, d)) == dst
-                    assert p == pytest.approx(transition_prob(k, v, c, m, d), abs=1e-14)
-                    assert b == pytest.approx(beta(k, v, c, m, d), abs=1e-14)
+                p, r, beta = _rule_rows(space, variant)
+                where = f"(m, d, g) = ({m}, {d}, {g}), {variant}"
+                assert (kernel.p.toarray() == p).all(), where
+                assert np.abs(kernel.r - r).max() <= 2.3e-16, where
+                edges = kernel.edges()
+                assert (edges.beta == beta[edges.src, edges.dst]).all(), where
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -86,6 +86,15 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             SimConfig(m=4, d=2, T=0, runs=1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused_at_construction(self, seed):
+        with pytest.raises(ConfigurationError, match=f"seed .*got {seed}"):
+            SimConfig(m=5, d=2, T=10, runs=3, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_every_64_bit_seed_builds(self, seed):
+        assert SimConfig(m=5, d=2, T=10, runs=3, seed=seed).seed == seed
+
 
 class TestExpectedMinOverSubsets:
     def test_two_ones_one_zero(self):
