@@ -56,8 +56,11 @@ class TransitionKernel:
     element-wise B. `n_edges` counts (state, event) pairs and is read off
     P: distinct events of a state reach distinct targets, so each edge is
     one stored nonzero. `edges()` re-derives the per-event edge list from
-    the event pass that built P; each edge is one event (v, c) of one
-    source state.
+    the full event pass of `variant`; each edge is one event (v, c) of one
+    source state. A UB kernel is an LB kernel re-targeted in place
+    (`retarget_capped`), so its P and r hold the same bits that pass gives.
+    The re-targeting is the only work UB adds to LB's build, and all that
+    `chain_values` times for UB's kernel when it follows LB's.
     """
 
     space: StateSpace
@@ -133,7 +136,12 @@ def _live(kv: np.ndarray, above: np.ndarray, c: int, d: int) -> np.ndarray:
     return (kv >= c) & (above >= d - c)
 
 
-def _event_pass(space: StateSpace, variant: str):
+def _check_variant(variant: str) -> None:
+    if variant not in ("lb", "ub"):
+        raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
+
+
+def _event_pass(space: StateSpace, variant: str, capped_only: bool = False):
     """Yield (v, c, src, dst, p, beta) per event (v, c) and block of sources.
 
     The one place an edge is made, ranked and checked. One rule makes every
@@ -144,16 +152,20 @@ def _event_pass(space: StateSpace, variant: str):
     ascending blocks of at most _BLOCK_ROWS. The pass aborts on a target
     outside the state space (rank -1), on a beta outside [0, 1], and, after
     the last block, on a source whose event probabilities do not sum to 1
-    within ROW_SUM_TOL.
+    within ROW_SUM_TOL. With `capped_only` it yields the capped event (g, d)
+    alone, the last in pass order, and skips the row-sum check, which needs
+    every event.
     """
-    if variant not in ("lb", "ub"):
-        raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
+    _check_variant(variant)
     m, d, g = space.m, space.d, space.g
     comb = _comb_table(m, d)
     denom = float(math.comb(m, d))
     row_sums = np.zeros(len(space))
     for v, kv, above in _levels_above(space):
         for c in range(1, d + 1):
+            capped = v == g and c == d
+            if capped_only and not capped:
+                continue
             live = np.flatnonzero(_live(kv, above, c, d))
             for start in range(0, len(live), _BLOCK_ROWS):
                 rows = live[start : start + _BLOCK_ROWS]
@@ -163,7 +175,6 @@ def _event_pass(space: StateSpace, variant: str):
 
                 k = np.zeros((g + 2, len(rows)), dtype=np.int64)  # levels x sources
                 np.take(space.states.T, rows, axis=1, out=k[:-1])
-                capped = v == g and c == d
                 if capped and variant == "lb":
                     beta = np.zeros(len(rows))  # frozen: self-loop, no error growth
                 else:
@@ -184,13 +195,16 @@ def _event_pass(space: StateSpace, variant: str):
                     raise InternalConsistencyError("beta values escaped [0, 1]")
                 row_sums[rows] += p
                 yield v, c, rows, dst, p, beta
+    if capped_only:
+        return
     worst = float(np.abs(row_sums - 1.0).max())
     if not worst <= ROW_SUM_TOL:
         raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
 
 
 def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
-    """Construct P and r from one vectorized pass over the events.
+    """Construct LB's P and r from one vectorized pass over the events; UB's
+    kernel is LB's with the capped event re-targeted (`retarget_capped`).
 
     After the size guard, which keeps every index within int32, each state's
     edges are counted and then written straight into P's CSR arrays (rows =
@@ -200,7 +214,13 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     all-minima move (c = k_0; 0 only at d = m, where it is the lone event),
     d + k_0 - m <= 0 for UB's capped event and 0 for LB's frozen self-loop.
     No two of these coincide, and two moves with equal c differ as vectors.
+    So LB's frozen self-loop is the only diagonal entry of LB's P.
+
+    UB's kernel costs LB's build plus the re-targeting. `chain_values`
+    builds only LB's and re-targets it after evaluating it, so there UB's
+    seconds count no build and LB's count the one both chains share.
     """
+    _check_variant(variant)
     check_kernel_size(space.m, space.d, space.g)
     n = len(space)
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -214,7 +234,7 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     fill = indptr[:-1].copy()  # next free slot in each source's row
 
     r = np.zeros(n)
-    for _, _, rows, dst, p, beta in _event_pass(space, variant):
+    for _, _, rows, dst, p, beta in _event_pass(space, "lb"):
         slots = fill[rows]
         cols[slots] = dst
         data[slots] = p
@@ -222,7 +242,45 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
         r[rows] += p * beta
     p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     p.sort_indices()
-    return TransitionKernel(space=space, variant=variant, p=p, r=r)
+    kernel = TransitionKernel(space=space, variant="lb", p=p, r=r)
+    if variant == "ub":
+        retarget_capped(kernel)
+    return kernel
+
+
+def retarget_capped(kernel: TransitionKernel) -> None:
+    """Turn LB's kernel into UB's in place, without a second P.
+
+    The chains differ only on the capped event (g, d), with the same
+    probability p on both: LB's edge is the row's self-loop, UB's goes to
+    the lifted target with UB's beta. Each capped row has its self-loop's
+    column re-pointed to UB's target and gains p * beta in r. The capped
+    event is the last in pass order and LB adds p * 0 there, so r becomes
+    UB's bit for bit. Targets and betas come from `_event_pass` restricted
+    to the capped event, with its rank and beta checks; the row sums are
+    LB's, already checked.
+
+    No row needs re-sorting. A capped row's state has its top level at g,
+    and `StateSpace.rank` orders states by top level, then by descending
+    lexicographic order of the histogram. The all-minima move is the one
+    target with top level g - 1, so it alone ranks below the source; every
+    other move takes counters off the first level it changes, so it ranks
+    above. UB's target keeps top level g, and at the first level where it
+    differs from the source it holds more counters, as its levels shift
+    down past the lifted minima; so it ranks between the two, where the
+    self-loop sat.
+    """
+    if kernel.variant != "lb":
+        raise ConfigurationError(f"only an LB kernel can be re-targeted, got {kernel.variant!r}")
+    p, r = kernel.p, kernel.r
+    for _, _, rows, dst, prob, beta in _event_pass(kernel.space, "ub", capped_only=True):
+        first = p.indptr[rows]
+        slots = first + (p.indices[first] != rows)  # after the all-minima move, if live
+        if not (p.indices[slots] == rows).all():
+            raise InternalConsistencyError("a capped row's self-loop is not where its rank puts it")
+        p.indices[slots] = dst
+        r[rows] += prob * beta
+    kernel.variant = "ub"
 
 
 def dump_kernel(space: StateSpace, variant: str, fh: TextIO) -> None:

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import cusketch.bounds
+import cusketch.kernel
 from cusketch.bounds import (
     _stationary_direct,
     asymptotic_error,
@@ -373,8 +374,26 @@ class TestComputeBounds:
     @pytest.mark.parametrize("T", [40, None])
     def test_one_kernel_alive_at_a_time(self, kernel_refs, T):
         chain_values(6, 2, 2, T)
-        assert len(kernel_refs) == 2
+        assert len(kernel_refs) == 1  # UB's kernel is LB's, re-targeted in place
         assert all(ref() is None for ref in kernel_refs)
+
+    @pytest.mark.parametrize("T", [40, None])
+    def test_one_full_event_pass_for_both_chains(self, monkeypatch, T):
+        m, d, g = 9, 3, 3
+        passes = []  # the (v, c) events each pass yielded
+        event_pass = cusketch.kernel._event_pass
+
+        def recorded(*args, **kwargs):
+            events = set()
+            passes.append(events)
+            for edge in event_pass(*args, **kwargs):
+                events.add(edge[:2])
+                yield edge
+
+        monkeypatch.setattr(cusketch.kernel, "_event_pass", recorded)
+        chains = chain_values(m, d, g, T)
+        assert list(chains) == ["lb", "ub"]
+        assert [events == {(g, d)} for events in passes].count(False) == 1
 
 
 class TestChainValues:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cusketch.kernel as kernel_mod
+from cusketch.bounds import chain_values
 from cusketch.errors import ConfigurationError, InternalConsistencyError
-from cusketch.kernel import build_kernel, check_kernel_size, dump_kernel
+from cusketch.kernel import build_kernel, check_kernel_size, dump_kernel, retarget_capped
 from cusketch.simulate import _VARIANT_CODES, _expected_min_numerator, _run_steps
 from cusketch.states import StateSpace, enumerate_states
 
@@ -202,7 +204,11 @@ class TestBuildKernel:
             assert per_row[i] <= bound
 
 
-    @pytest.mark.parametrize("m,d,g", [(6, 3, 2), (5, 5, 2), (8, 1, 3), (9, 4, 1)])
+    # (50, 4, 3) and (12, 6, 4) hit the cap on most rows, so UB's re-targeted
+    # P and r are compared with UB's own full event pass on many capped rows.
+    @pytest.mark.parametrize(
+        "m,d,g", [(6, 3, 2), (5, 5, 2), (8, 1, 3), (9, 4, 1), (50, 4, 3), (12, 6, 4)]
+    )
     def test_matrix_and_reward_match_edges(self, m, d, g):
         space = enumerate_states(m, d, g)
         for variant in ("lb", "ub"):
@@ -238,17 +244,20 @@ class TestBuildKernel:
         assert stored / kernel.n_edges <= 14
 
     def test_build_holds_one_copy_of_the_matrix(self):
-        # A transposed second copy of P held during the build puts the ratio near 2.2.
+        # A transposed second copy of P held during the build puts the ratio
+        # near 2.2; UB's re-targeting adds only block-sized temporaries.
         space = enumerate_states(40, 4, 4)
-        tracemalloc.start()
-        try:
-            kernel = build_kernel(space, "lb")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        p = kernel.p
-        stored = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes + kernel.r.nbytes
-        assert peak <= 1.8 * stored
+        for variant in ("lb", "ub"):
+            tracemalloc.start()
+            try:
+                kernel = build_kernel(space, variant)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            p = kernel.p
+            stored = p.data.nbytes + p.indices.nbytes + p.indptr.nbytes + kernel.r.nbytes
+            assert peak <= 1.8 * stored, variant
+            del kernel, p
 
 
 class TestBuildChecks:
@@ -309,6 +318,57 @@ class TestBuildChecks:
         with pytest.raises(InternalConsistencyError, match="beta values escaped"):
             next(kernel_mod._event_pass(space, "lb"))
         self._aborts(space, "beta values escaped")
+
+    @staticmethod
+    def _aborts_ub(space, match):
+        """A fault confined to UB's capped event: LB still builds, but UB's
+        kernel, which is LB's re-targeted, its dump and its value abort."""
+        assert build_kernel(space, "lb").variant == "lb"
+        with pytest.raises(InternalConsistencyError, match=match):
+            build_kernel(space, "ub")
+        with pytest.raises(InternalConsistencyError, match=match):
+            dump_kernel(space, "ub", io.StringIO())
+        for T in (10, None):
+            with pytest.raises(InternalConsistencyError, match=match):
+                chain_values(space.m, space.d, space.g, T)
+
+    def test_ub_capped_closure(self, monkeypatch):
+        # rank -1 on the batch of UB's lifted targets alone, which no other
+        # event's block reproduces
+        space = enumerate_states(6, 3, 2)
+        edges = build_kernel(space, "ub").edges()
+        lifted = space.states[edges.dst[(edges.v == space.g) & (edges.c == space.d)]]
+        rank = StateSpace.rank
+
+        def lifted_off(self, rows):
+            ranks = rank(self, rows)
+            return np.full_like(ranks, -1) if np.array_equal(rows, lifted) else ranks
+
+        monkeypatch.setattr(StateSpace, "rank", lifted_off)
+        self._aborts_ub(space, "left the state space")
+
+    def test_ub_capped_beta(self, monkeypatch):
+        # C(d, d) a hair below 1 moves the row sums by 1e-14 and keeps every
+        # other beta in range, but UB's capped beta at the states with only
+        # d counters above the minimum, exactly 1, now exceeds it
+        m, d = 6, 3
+        comb_table = kernel_mod._comb_table
+
+        def short_one(n, r):
+            table = comb_table(n, r)
+            table[d, d] -= 1e-14 * math.comb(m, d)
+            return table
+
+        monkeypatch.setattr(kernel_mod, "_comb_table", short_one)
+        self._aborts_ub(enumerate_states(m, d, 2), "beta values escaped")
+
+    def test_retarget_needs_lb_self_loops(self):
+        ub = build_kernel(enumerate_states(6, 3, 2), "ub")
+        with pytest.raises(ConfigurationError, match="only an LB kernel"):
+            retarget_capped(ub)
+        # UB's P has no diagonal entry at d < m, so no capped row has a self-loop
+        with pytest.raises(InternalConsistencyError, match="self-loop"):
+            retarget_capped(dataclasses.replace(ub, variant="lb"))
 
 
 class TestSizeGuard:
