@@ -10,13 +10,14 @@ chain by r.
 
 `chain_values` is the one entry point: it guards, builds and evaluates each
 chain and returns its value, edge count and seconds; UB's kernel is LB's,
-re-targeted in place. `expected_error` and `asymptotic_error` are its only
-views, one chain's value each.
+re-targeted. `expected_error` and `asymptotic_error` are its only views, one
+chain's value each.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from typing import Iterator, NamedTuple, Sequence
 
@@ -25,8 +26,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import TransitionKernel, build_kernel, check_kernel_size, retarget_capped
-from .states import enumerate_states
+from .kernel import (
+    TransitionKernel,
+    build_kernel,
+    check_kernel_size,
+    retarget_capped,
+    retarget_copy,
+)
+from .states import StateSpace, enumerate_states
 
 DIRECT_SOLVE_LIMIT = 2000
 OCCUPANCY_TOL = 1e-12
@@ -72,9 +79,22 @@ def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
+    return _backward_sum(kernel, T)
+
+
+def _backward_sum(
+    kernel: TransitionKernel, T: int, stop: threading.Event | None = None
+) -> float | None:
+    """`expected_error_from_kernel` for T >= 1; None once `stop` is set.
+
+    `stop` is read before each step, so another thread can end the sum
+    within one mat-vec.
+    """
     p, r = kernel.p, kernel.r
     h = r.copy()
     for _ in range(T - 1):
+        if stop is not None and stop.is_set():
+            return None
         h = p @ h
         h += r
     return float(h[kernel.space.initial_index]) / T
@@ -188,10 +208,12 @@ def _stationary_direct(pt: sp.csc_matrix, n: int) -> np.ndarray:
 class ChainValue(NamedTuple):
     """One chain's bound, its event count and the wall time spent on it.
 
-    `seconds` runs from the start of the chain's kernel to its value. When
-    `chain_values` evaluates LB and then UB, LB's seconds include the one
-    event pass both share, and UB's cover only re-targeting LB's kernel and
-    evaluating it.
+    `seconds` is the wall time of the chain's own kernel and evaluation.
+    When `chain_values` evaluates LB and UB at a finite horizon, LB's
+    seconds cover the one event pass both share and LB's sum, and UB's
+    cover re-targeting a copy of LB's kernel and UB's sum, which runs while
+    LB's does, so the two overlap. In the long-run mode UB's seconds start
+    after LB's value.
     """
 
     value: float
@@ -210,11 +232,15 @@ def chain_values(
     """Evaluate each variant's chain at horizon T, or in the limit for T=None.
 
     The horizon, tolerance and size guards run before anything is built, and
-    the state space is enumerated once for all variants. UB after LB is not
-    built again: LB's kernel is re-targeted in place (`retarget_capped`), so
-    one event pass serves both and UB's seconds count no build. Any other
-    variant is built afresh, after the previous kernel is dropped, so only
-    one P is held at a time.
+    the state space is enumerated once for all variants. UB is never built
+    by a second event pass: its kernel is LB's, re-targeted
+    (`retarget_capped`). At a finite horizon the pair is summed at once,
+    LB on the calling thread and UB on one worker thread (`_finite_pair`);
+    the two kernels share P's values and row pointers. In the long-run mode
+    the chains are solved one after the other, since two ARPACK runs at once
+    were no faster, and LB's kernel is re-targeted in place once its value
+    is known, so one P is held at a time. Each value is the one a chain
+    evaluated alone gives, bit for bit.
     """
     if T is None:
         _check_tol(tol)
@@ -222,6 +248,9 @@ def chain_values(
         raise ConfigurationError(f"T must be >= 1, got {T}")
     check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
+    if T is not None and sorted(variants) == ["lb", "ub"]:
+        pair = _finite_pair(space, T)
+        return {variant: pair[variant] for variant in variants}
     chains = {}
     kernel = None
     for variant in variants:
@@ -237,6 +266,52 @@ def chain_values(
             value = expected_error_from_kernel(kernel, T)
         chains[variant] = ChainValue(value, kernel.n_edges, time.perf_counter() - start)
     return chains
+
+
+def _finite_pair(space: StateSpace, T: int) -> dict[str, ChainValue]:
+    """LB's and UB's finite-horizon values, the two backward sums run at once.
+
+    SciPy's CSR mat-vec releases the GIL, so the two sums overlap on two
+    cores: LB's on the calling thread, UB's on one worker thread. LB's
+    kernel is built once and UB's is its re-targeted copy
+    (`retarget_copy`), which shares P's values and row pointers. The copy
+    is made before the sums start, so its temporaries never add to theirs.
+    An exception or interrupt on either thread stops the other sum within
+    one step, and the worker is joined before anything returns or
+    propagates; the worker's exception is raised here. LB's seconds count
+    its build and sum, UB's its re-targeting and sum.
+    """
+    start = time.perf_counter()
+    lb = build_kernel(space, "lb")
+    built = time.perf_counter()
+    ub = retarget_copy(lb)
+    copied = time.perf_counter()
+    stop = threading.Event()
+    ub_outcome: list = []  # UB's ChainValue, or the exception that ended the worker
+
+    def ub_sum() -> None:
+        try:
+            value = _backward_sum(ub, T, stop)
+            if value is not None:
+                seconds = time.perf_counter() - built
+                ub_outcome.append(ChainValue(value, ub.n_edges, seconds))
+        except BaseException as exc:  # re-raised by the calling thread
+            stop.set()
+            ub_outcome.append(exc)
+
+    worker = threading.Thread(target=ub_sum, name="cusketch-ub-sum", daemon=True)
+    worker.start()
+    try:
+        value = _backward_sum(lb, T, stop)
+        lb_seconds = (built - start) + (time.perf_counter() - copied)
+        worker.join()
+    except BaseException:
+        stop.set()  # UB's sum ends at its next step
+        worker.join()
+        raise
+    if isinstance(ub_outcome[0], BaseException):
+        raise ub_outcome[0]
+    return {"lb": ChainValue(value, lb.n_edges, lb_seconds), "ub": ub_outcome[0]}
 
 
 def expected_error(m: int, d: int, g: int, T: int, variant: str) -> float:

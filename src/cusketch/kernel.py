@@ -57,10 +57,11 @@ class TransitionKernel:
     P: distinct events of a state reach distinct targets, so each edge is
     one stored nonzero. `edges()` re-derives the per-event edge list from
     the full event pass of `variant`; each edge is one event (v, c) of one
-    source state. A UB kernel is an LB kernel re-targeted in place
-    (`retarget_capped`), so its P and r hold the same bits that pass gives.
-    The re-targeting is the only work UB adds to LB's build, and all that
-    `chain_values` times for UB's kernel when it follows LB's.
+    source state. A UB kernel is an LB kernel re-targeted (`retarget_capped`
+    in place, or `retarget_copy` beside it), so its P and r hold the same
+    bits that pass gives. The re-targeting is the only work UB adds to LB's
+    build. A re-targeted copy shares P's values and row pointers with the
+    LB kernel it came from, so two kernels may hold one P's `data`.
     """
 
     space: StateSpace
@@ -119,7 +120,8 @@ def check_kernel_size(m: int, d: int, g: int) -> None:
 
 def _levels_above(space: StateSpace):
     """Yield (v, k_v, sum_{l > v} k_l) over all states, for each level v."""
-    below = np.zeros(len(space), dtype=np.int64)  # sum_{l <= v} k_l
+    # sum_{l <= v} k_l; int32 holds m for every chain the size guard admits
+    below = np.zeros(len(space), dtype=np.int32)
     for v in range(space.g + 1):
         kv = space.states[:, v]
         below += kv
@@ -154,13 +156,13 @@ def _event_pass(space: StateSpace, variant: str, capped_only: bool = False):
     the last block, on a source whose event probabilities do not sum to 1
     within ROW_SUM_TOL. With `capped_only` it yields the capped event (g, d)
     alone, the last in pass order, and skips the row-sum check, which needs
-    every event.
+    every event, and the N-sized sums that check reads.
     """
     _check_variant(variant)
     m, d, g = space.m, space.d, space.g
     comb = _comb_table(m, d)
     denom = float(math.comb(m, d))
-    row_sums = np.zeros(len(space))
+    row_sums = None if capped_only else np.zeros(len(space))
     for v, kv, above in _levels_above(space):
         for c in range(1, d + 1):
             capped = v == g and c == d
@@ -174,7 +176,7 @@ def _event_pass(space: StateSpace, variant: str, capped_only: bool = False):
                 beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
 
                 k = np.zeros((g + 2, len(rows)), dtype=np.int64)  # levels x sources
-                np.take(space.states.T, rows, axis=1, out=k[:-1])
+                k[:-1] = space.states.T.take(rows, axis=1)  # widened from the states' dtype
                 if capped and variant == "lb":
                     beta = np.zeros(len(rows))  # frozen: self-loop, no error growth
                 else:
@@ -193,9 +195,10 @@ def _event_pass(space: StateSpace, variant: str, capped_only: bool = False):
                     )
                 if not (beta.min() >= 0 and beta.max() <= 1):  # NaN fails too
                     raise InternalConsistencyError("beta values escaped [0, 1]")
-                row_sums[rows] += p
+                if row_sums is not None:
+                    row_sums[rows] += p
                 yield v, c, rows, dst, p, beta
-    if capped_only:
+    if row_sums is None:
         return
     worst = float(np.abs(row_sums - 1.0).max())
     if not worst <= ROW_SUM_TOL:
@@ -217,7 +220,7 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     So LB's frozen self-loop is the only diagonal entry of LB's P.
 
     UB's kernel costs LB's build plus the re-targeting. `chain_values`
-    builds only LB's and re-targets it after evaluating it, so there UB's
+    builds only LB's and re-targets it or a copy of it, so there UB's
     seconds count no build and LB's count the one both chains share.
     """
     _check_variant(variant)
@@ -251,6 +254,9 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
 def retarget_capped(kernel: TransitionKernel) -> None:
     """Turn LB's kernel into UB's in place, without a second P.
 
+    Only the column indices of P and r change; `retarget_copy` re-targets a
+    copy of those two and keeps LB's kernel.
+
     The chains differ only on the capped event (g, d), with the same
     probability p on both: LB's edge is the row's self-loop, UB's goes to
     the lifted target with UB's beta. Each capped row has its self-loop's
@@ -281,6 +287,21 @@ def retarget_capped(kernel: TransitionKernel) -> None:
         p.indices[slots] = dst
         r[rows] += prob * beta
     kernel.variant = "ub"
+
+
+def retarget_copy(kernel: TransitionKernel) -> TransitionKernel:
+    """UB's kernel from LB's, leaving LB's intact.
+
+    The copy shares P's values and row pointers with LB's kernel, which the
+    re-targeting leaves as they are, and holds its own column indices and r,
+    which `retarget_capped` re-targets: 4 B per edge and 8 B per state more
+    than LB's kernel alone.
+    """
+    p = kernel.p
+    p = sp.csr_matrix((p.data, p.indices.copy(), p.indptr), shape=p.shape)
+    copy = TransitionKernel(kernel.space, kernel.variant, p, kernel.r.copy())
+    retarget_capped(copy)
+    return copy
 
 
 def dump_kernel(space: StateSpace, variant: str, fh: TextIO) -> None:

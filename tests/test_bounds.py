@@ -1,4 +1,7 @@
 import dataclasses
+import signal
+import threading
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -374,7 +377,9 @@ class TestComputeBounds:
     @pytest.mark.parametrize("T", [40, None])
     def test_one_kernel_alive_at_a_time(self, kernel_refs, T):
         chain_values(6, 2, 2, T)
-        assert len(kernel_refs) == 1  # UB's kernel is LB's, re-targeted in place
+        # one build: UB's kernel is LB's re-targeted, in place for the limit
+        # and as a copy that shares P's values at a finite horizon
+        assert len(kernel_refs) == 1
         assert all(ref() is None for ref in kernel_refs)
 
     @pytest.mark.parametrize("T", [40, None])
@@ -394,6 +399,118 @@ class TestComputeBounds:
         chains = chain_values(m, d, g, T)
         assert list(chains) == ["lb", "ub"]
         assert [events == {(g, d)} for events in passes].count(False) == 1
+
+
+class TestConcurrentPair:
+    """At a finite horizon, LB's and UB's backward sums run on two threads."""
+
+    @pytest.mark.parametrize("m,d,g,T", [
+        (6, 2, 2, 40), (6, 3, 2, 5), (4, 2, 1, 8), (5, 3, 3, 6), (9, 3, 3, 20),
+        (50, 4, 1, 250), (50, 4, 2, 250), (50, 4, 3, 250),
+    ])
+    def test_values_are_each_chain_alone(self, m, d, g, T):
+        # the g < T cases bind the cap; (50, 4, g <= 3) are the pinned table rows
+        space = enumerate_states(m, d, g)
+        chains = chain_values(m, d, g, T)
+        for variant, chain in chains.items():
+            kernel = build_kernel(space, variant)
+            assert chain.value == expected_error_from_kernel(kernel, T)  # bit for bit
+            assert chain.n_edges == kernel.n_edges
+
+    def test_kernels_share_values_and_row_pointers(self, monkeypatch):
+        kernels = []
+        for name in ("build_kernel", "retarget_copy"):
+            real = getattr(cusketch.bounds, name)
+
+            def kept(*args, real=real):
+                kernels.append(real(*args))
+                return kernels[-1]
+
+            monkeypatch.setattr(cusketch.bounds, name, kept)
+        chain_values(9, 3, 3, 20)
+        lb, ub = kernels
+        assert (lb.variant, ub.variant) == ("lb", "ub")
+        assert np.shares_memory(lb.p.data, ub.p.data)
+        assert np.shares_memory(lb.p.indptr, ub.p.indptr)
+        assert not np.shares_memory(lb.p.indices, ub.p.indices)
+        assert not np.shares_memory(lb.r, ub.r)
+        space = enumerate_states(9, 3, 3)
+        for kernel, variant in ((lb, "lb"), (ub, "ub")):  # LB's kernel is left as built
+            alone = build_kernel(space, variant)
+            for got, want in zip(
+                (kernel.p.data, kernel.p.indices, kernel.p.indptr, kernel.r),
+                (alone.p.data, alone.p.indices, alone.p.indptr, alone.r),
+            ):
+                assert np.array_equal(got, want)
+
+    def test_ub_fault_raised_with_its_type_and_message(self, monkeypatch):
+        backward_sum = cusketch.bounds._backward_sum
+
+        def faulty(kernel, T, stop=None):
+            if kernel.variant == "ub":
+                raise ZeroDivisionError("fault in UB's sum")
+            return backward_sum(kernel, T, stop)
+
+        monkeypatch.setattr(cusketch.bounds, "_backward_sum", faulty)
+        threads = threading.active_count()
+        began = time.perf_counter()
+        # LB alone would take 10^7 steps, over a minute; the fault stops it
+        with pytest.raises(ZeroDivisionError, match="^fault in UB's sum$"):
+            chain_values(6, 2, 2, 10**7)
+        assert time.perf_counter() - began < 10
+        assert threading.active_count() == threads
+
+    def test_only_a_finite_horizon_pair_starts_a_thread(self, monkeypatch):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        threads = threading.active_count()
+        chain_values(6, 2, 2, None)
+        chain_values(6, 2, 2, 40, ("ub",))
+        expected_error(6, 2, 2, 40, "lb")
+        asymptotic_error(6, 2, 2, "ub")
+        assert started == []  # the long-run mode and single chains stay on this thread
+        chain_values(6, 2, 2, 40)
+        assert len(started) == 1
+        assert list(chain_values(6, 2, 2, 40, ("ub", "lb"))) == ["ub", "lb"]
+        assert len(started) == 2
+        assert threading.active_count() == threads
+
+    def test_interrupt_returns_within_steps(self):
+        # an interrupt lands in LB's sum on this thread; UB's sum on the
+        # worker must stop at its next step rather than run to T
+        m, d, g = 50, 4, 3
+        kernel = build_kernel(enumerate_states(m, d, g), "ub")
+        h = kernel.r.copy()
+        began = time.perf_counter()
+        for _ in range(20):
+            h = kernel.p @ h
+        step = (time.perf_counter() - began) / 20
+        T = 10**6  # minutes per chain
+        interrupted = []
+
+        def interrupt(signum, frame):
+            interrupted.append(time.perf_counter())
+            raise KeyboardInterrupt
+
+        threads = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                chain_values(m, d, g, T)
+            returned = time.perf_counter()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(interrupted) == 1
+        assert returned - interrupted[0] < 0.2 + 20 * step
+        assert threading.active_count() == threads
 
 
 class TestChainValues:

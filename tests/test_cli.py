@@ -9,7 +9,7 @@ import pytest
 
 import cusketch.bounds
 import cusketch.cli
-from cusketch.bounds import chain_values
+from cusketch.bounds import ChainValue, chain_values
 from cusketch.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -140,7 +140,7 @@ class TestBounds:
     def test_one_kernel_alive_at_a_time(self, capsys, kernel_refs):
         rc, _, _ = run(capsys, "bounds", "--m", "6", "--d", "2", "--g", "2", "--t", "5")
         assert rc == EXIT_OK
-        assert len(kernel_refs) == 1  # UB's kernel is LB's, re-targeted in place
+        assert len(kernel_refs) == 1  # UB's kernel is a re-targeted copy of LB's
         assert all(ref() is None for ref in kernel_refs)
 
     @pytest.mark.parametrize("argv", [
@@ -348,6 +348,18 @@ class TestTable1:
             run(capsys, "table1", "--gmax", "4")
         _, err = capsys.readouterr()
         assert "warning" in err
+
+    def test_row_line_gives_the_row_wall_time(self, capsys, monkeypatch):
+        import cusketch.cli as cli_mod
+
+        # the two chains' seconds overlap, so their sum is not the row's time
+        chains = {"lb": ChainValue(0.25, 7, 100.0), "ub": ChainValue(0.5, 7, 100.0)}
+        monkeypatch.setattr(cli_mod, "chain_values", lambda *args: chains)
+        rc, out, err = run(capsys, "table1", "--gmax", "1")
+        assert rc == EXIT_OK
+        assert "g=1  lower=0.25000  upper=0.50000  (0.00 s)" in err
+        row = json.loads(out)["results"]["rows"][0]
+        assert float(row["lower_seconds"]) == float(row["upper_seconds"]) == 100.0
 
     def test_rows_are_the_chain_values(self, capsys):
         rc, out, _ = run(capsys, "table1", "--gmax", "2")

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import threading
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
@@ -328,9 +329,11 @@ class TestBuildChecks:
             build_kernel(space, "ub")
         with pytest.raises(InternalConsistencyError, match=match):
             dump_kernel(space, "ub", io.StringIO())
+        threads = threading.active_count()
         for T in (10, None):
             with pytest.raises(InternalConsistencyError, match=match):
                 chain_values(space.m, space.d, space.g, T)
+        assert threading.active_count() == threads
 
     def test_ub_capped_closure(self, monkeypatch):
         # rank -1 on the batch of UB's lifted targets alone, which no other

@@ -79,6 +79,16 @@ class TestEnumeration:
         with pytest.raises(ConfigurationError):
             enumerate_states(1, 1, 1)
 
+    @pytest.mark.parametrize("m,d,g,dtype", [
+        (50, 4, 3, np.int8), (127, 126, 2, np.int8), (128, 127, 2, np.int16),
+        (200, 3, 2, np.int16), (40000, 39999, 2, np.int64),
+    ])
+    def test_counts_stored_in_the_smallest_type_that_holds_m(self, m, d, g, dtype):
+        space = enumerate_states(m, d, g)
+        assert space.states.dtype == dtype
+        assert (space.rank(space.states) == np.arange(len(space))).all()
+        assert (space.states.sum(axis=1, dtype=np.int64) == m).all()
+
     def test_enumeration_order_deterministic(self):
         a = enumerate_states(7, 2, 3)
         b = enumerate_states(7, 2, 3)
