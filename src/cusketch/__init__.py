@@ -3,7 +3,8 @@
 Public surface: sketch update rules and selection models (`sketch`), the
 gap-capped Markov chain machinery (`states`, `kernel`, `bounds`), closed
 forms for d = m - 1 (`closed_form`), the Monte-Carlo engine and the exact
-oracle over distinct counter states (`simulate`), and a CLI (`cusketch`).
+walk over sorted offset tuples for CU, LB and UB (`simulate`), and a CLI
+(`cusketch`).
 """
 
 from .bounds import asymptotic_error, expected_error

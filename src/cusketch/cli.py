@@ -5,7 +5,7 @@ Subcommands:
     asymptotic   T -> infinity limits of the bounds
     closed-form  d = m - 1 birth-death results and g = 1 limits
     simulate     seeded Monte-Carlo estimate of the average error
-    oracle       exact expected error, summed over distinct counter states
+    oracle       exact expected error, summed over sorted offset tuples
     table1       bound table for m=50, d=4, T=250 over a range of g
     verify       run the cross-check suites (exit 3 on any failure)
 
@@ -38,6 +38,7 @@ from .simulate import (
     SimConfig,
     brute_force_expected_error,
     estimate_error,
+    exact_errors,
     sandwich_trace,
 )
 from .states import enumerate_states, state_space_size
@@ -238,8 +239,17 @@ def _cmd_table1(args):
 
 
 def _oracle_agrees(m: int, d: int, T: int) -> bool:
-    exact = float(brute_force_expected_error(m, d, T).per_step)
-    return all(abs(chain.value - exact) <= 1e-10 for chain in chain_values(m, d, T, T).values())
+    """At each g <= T both chains equal the exact walk under their own rule, and
+    LB <= CU <= UB; at g = T no cap binds, so both equal CU's exact value."""
+    cu = exact_errors(m, d, T)[T] / T
+    for g in range(1, T + 1):
+        for variant, chain in chain_values(m, d, g, T).items():
+            exact = cu if g == T else exact_errors(m, d, T, variant, g)[T] / T
+            if abs(chain.value - exact) > 1e-12 or (exact > cu if variant == "lb" else exact < cu):
+                raise InternalConsistencyError(
+                    f"at g={g} the {variant} chain gives {chain.value!r}, "
+                    f"the exact walk {float(exact)!r} and CU {float(cu)!r}")
+    return True
 
 
 def _sandwiches_hold(n: int, tmax: int) -> bool:
@@ -350,7 +360,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cap", type=int, default=None, help="gap cap g for lb/ub")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("oracle", help="exact expected error over distinct counter states")
+    p = sub.add_parser("oracle", help="exact expected error over sorted offset tuples")
     common(p)
     p.set_defaults(func=_cmd_oracle)
 

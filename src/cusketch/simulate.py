@@ -6,7 +6,8 @@ picks the stepper for a block of runs: `_run_steps` advances one list of
 counters in pure Python, at about 1.2 us a step; `_run_rows` advances the
 runs together, as the rows of one (runs x m) array, one NumPy pass of about
 15 us per step whatever the row count. Both apply the same CU, LB or UB
-rule. Sandwich traces and the oracle call `_run_steps` directly.
+rule. Sandwich traces and the exact oracle, a walk over the sorted offset
+tuples that CU, LB or UB reach (`exact_errors`), call `_run_steps` directly.
 
 The estimation error of an absent item is never sampled: conditionally on
 the final counters, its expectation over the item's uniformly random
@@ -99,18 +100,24 @@ class SimConfig:
     g: int | None = None  # required for lb/ub, refused for cu
 
     def __post_init__(self):
-        SketchConfig(self.m, self.d)
-        if self.T < 1:
-            raise ConfigurationError(f"T must be >= 1, got {self.T}")
+        _check_walk(self.m, self.d, self.T, self.variant, self.g)
         if self.runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
         _check_seed(self.seed)
-        if self.variant not in _VARIANT_CODES:
-            raise ConfigurationError(f"variant must be one of cu/lb/ub, got {self.variant!r}")
-        if self.variant != "cu" and (self.g is None or self.g < 1):
-            raise ConfigurationError("lb/ub simulation requires a gap cap g >= 1")
-        if self.variant == "cu" and self.g is not None:
-            raise ConfigurationError("a gap cap g applies only to the lb/ub variants")
+
+
+def _check_walk(m: int, d: int, T: int, variant: str, g: int | None) -> None:
+    """Refuse a bad (m, d), T < 1, an unknown variant, LB or UB without a cap
+    g >= 1, and CU with a cap."""
+    SketchConfig(m, d)
+    if T < 1:
+        raise ConfigurationError(f"T must be >= 1, got {T}")
+    if variant not in _VARIANT_CODES:
+        raise ConfigurationError(f"variant must be one of cu/lb/ub, got {variant!r}")
+    if variant != "cu" and (g is None or g < 1):
+        raise ConfigurationError("lb/ub simulation requires a gap cap g >= 1")
+    if variant == "cu" and g is not None:
+        raise ConfigurationError("a gap cap g applies only to the lb/ub variants")
 
 
 @dataclass(frozen=True)
@@ -490,38 +497,57 @@ class OracleResult:
         return self.exact_expected_error / self.T
 
 
-def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
-    """Exact E[error at horizon T], averaged over every selection sequence.
+def exact_errors(m: int, d: int, T: int, variant: str = "cu", g: int | None = None) -> list:
+    """Exact E[error after t steps] as Fractions, t = 0 .. T, over every selection sequence.
 
-    CU commutes with permuting the counters and the error reads only the
-    sorted counters, so `reach` counts the sequences reaching each distinct
-    sorted state, and each step advances every state through each subset.
-    Refused once the steps left would take the (state, subset) pairs stepped
-    past ORACLE_LEAF_GUARD, counting at least one state for each step left.
+    The rules commute with permuting the counters and read only the offsets
+    (counters less their minimum), so `reach` maps each sorted offset tuple
+    to the number of sequences reaching it and the sum of their minima; a
+    capped walk stays finite. A tuple's successors and E[min] are worked out
+    once. A step lifts the minimum by at most one. E[err_t] is the sum of
+    minima * C(m, d) + count * C(m, d) E[min over a subset of the offsets],
+    over C(m, d)^(t + 1). Refused once the steps left would take the (state,
+    subset) pairs walked past ORACLE_LEAF_GUARD, at least one state a step.
     """
-    SketchConfig(m, d)
-    if T < 1:
-        raise ConfigurationError(f"T must be >= 1, got {T}")
+    _check_walk(m, d, T, variant, g)
+    code, cap = _VARIANT_CODES[variant], g or 0
     steps = [(s,) for s in combinations(range(m), d)]  # one-step selection sequences
-    reach = {(0,) * m: 1}
+    per = len(steps)
+    reach = {(0,) * m: (1, 0)}
+    moves: dict[tuple[int, ...], dict] = {}  # offsets -> {(child, lift): subsets}
+    errors = [Fraction(0)]
+    numerator = functools.cache(lambda offsets: _expected_min_numerator(offsets, d))
     stepped = 0
-    for t in range(T):
-        least = stepped + (len(reach) + T - t - 1) * len(steps)
+    for t in range(1, T + 1):
+        least = stepped + (len(reach) + T - t) * per
         if least > ORACLE_LEAF_GUARD:
             raise ConfigurationError(
                 f"the oracle would step at least {least} (state, subset) pairs, "
                 f"above the {ORACLE_LEAF_GUARD} guard"
             )
-        stepped += len(reach) * len(steps)
-        after: dict[tuple[int, ...], int] = {}
-        for state, weight in reach.items():
-            for step in steps:
-                child = list(state)
-                _run_steps(child, step, _CU, 0)
-                key = tuple(sorted(child))
-                after[key] = after.get(key, 0) + weight
+        stepped += len(reach) * per
+        after: dict[tuple[int, ...], tuple[int, int]] = {}
+        for offsets, (count, minima) in reach.items():
+            if offsets not in moves:
+                tally = moves[offsets] = {}
+                for step in steps:
+                    child = list(offsets)
+                    _run_steps(child, step, code, cap)
+                    lift = 0 if 0 in child else 1
+                    key = (tuple(sorted(x - lift for x in child)), lift)
+                    tally[key] = tally.get(key, 0) + 1
+            for (child, lift), n in moves[offsets].items():
+                reached, low_sum = after.get(child, (0, 0))
+                after[child] = (reached + count * n, low_sum + (minima + lift * count) * n)
         reach = after
-    total = sum(weight * _expected_min_numerator(state, d) for state, weight in reach.items())
-    return OracleResult(
-        m=m, d=d, T=T, exact_expected_error=Fraction(total, len(steps) ** (T + 1))
-    )
+        total = sum(
+            minima * per + count * numerator(offsets)
+            for offsets, (count, minima) in reach.items()
+        )
+        errors.append(Fraction(total, per ** (t + 1)))
+    return errors
+
+
+def brute_force_expected_error(m: int, d: int, T: int) -> OracleResult:
+    """Exact E[error at horizon T] under CU: the last value of `exact_errors`."""
+    return OracleResult(m=m, d=d, T=T, exact_expected_error=exact_errors(m, d, T)[T])

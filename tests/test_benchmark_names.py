@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cusketch
+from cusketch import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,3 +79,18 @@ def test_the_harness_reads_cusketch_names():
 @pytest.mark.parametrize("source, name", READS)
 def test_name_resolves(source, name):
     assert _resolves(name.split(".")), f"{source} reads {name}, which is gone"
+
+
+def _pinned_verify_checks() -> list[str]:
+    """`VERIFY_CHECKS` as perfbench/workloads.py assigns it, read without importing it."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in tree.body:
+        names = [getattr(target, "id", None) for target in getattr(node, "targets", [])]
+        if names == ["VERIFY_CHECKS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("workloads.py assigns no VERIFY_CHECKS")
+
+
+def test_verify_runs_the_checks_the_benchmark_pins():
+    # verify-full's output check fails on any added, renamed or reordered check
+    assert [name for name, _ in cli._verify_checks("full")] == _pinned_verify_checks()

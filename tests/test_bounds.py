@@ -3,7 +3,6 @@ import signal
 import threading
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,12 +22,7 @@ from cusketch.bounds import (
 )
 from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from cusketch.kernel import build_kernel
-from cusketch.simulate import (
-    _VARIANT_CODES,
-    _expected_min_numerator,
-    _run_steps,
-    brute_force_expected_error,
-)
+from cusketch.simulate import brute_force_expected_error, exact_errors
 from cusketch.states import enumerate_states
 
 
@@ -92,49 +86,17 @@ class TestExpectedError:
         assert all(a < b for a, b in zip(lowers, lowers[1:]))
         assert all(a > b for a, b in zip(uppers, uppers[1:]))
         assert all(lo <= up for lo, up in zip(lowers, uppers))
-
-
-def _capped_walk(m, d, g, T, variant):
-    """Exact E[error after t steps], t = 0 .. T, from the update rule alone.
-
-    Walks the sorted offset tuples (counters less their minimum) that
-    `_run_steps` reaches under the variant's rule. Each tuple carries the
-    number of selection sequences reaching it and the sum of their minima,
-    so a capped walk stays finite. Over the C(m, d)^t sequences and the
-    absent item's C(m, d) subsets, E[err_t] is the sum of minima * C(m, d)
-    + count * C(m, d) E[min over a subset of the offsets], over
-    C(m, d)^(t + 1).
-    """
-    steps = [(s,) for s in combinations(range(m), d)]  # one-step selection sequences
-    per = len(steps)
-    reach = {(0,) * m: (1, 0)}
-    errors = [Fraction(0)]
-    for t in range(1, T + 1):
-        after = {}
-        for offsets, (count, minima) in reach.items():
-            for step in steps:
-                child = list(offsets)
-                _run_steps(child, step, _VARIANT_CODES[variant], g)
-                low = min(child)
-                key = tuple(sorted(x - low for x in child))
-                n, total = after.get(key, (0, 0))
-                after[key] = (n + count, total + minima + count * low)
-        reach = after
-        total = sum(
-            minima * per + count * _expected_min_numerator(offsets, d)
-            for offsets, (count, minima) in reach.items()
-        )
-        errors.append(Fraction(total, per ** (t + 1)))
-    return errors
+        # LB_g <= LB_g+1 <= UB_g+1 <= UB_g for g = 1 .. 4 on a grid of (m, d, T)
+        for m in range(2, 11):
+            for d in sorted({1, 2, m - 1, m}):
+                for T in (1, 5, 40):
+                    pairs = [chain_values(m, d, g, T).values() for g in range(1, 6)]
+                    for (lb, ub), (lb_next, ub_next) in zip(pairs, pairs[1:]):
+                        assert lb.value <= lb_next.value <= ub_next.value <= ub.value, (m, d, T)
 
 
 class TestCappedWalk:
-    """Both averaging windows of the bounds, pinned by the exact capped walk."""
-
-    @pytest.mark.parametrize("m,d,T", [(3, 2, 6), (4, 2, 5), (5, 3, 4), (5, 1, 4), (4, 4, 3)])
-    def test_uncapped_walk_is_the_oracle(self, m, d, T):
-        walk = _capped_walk(m, d, 0, T, "cu")
-        assert walk[T] == brute_force_expected_error(m, d, T).exact_expected_error
+    """Both averaging windows of the bounds, pinned by the package's exact walk."""
 
     @pytest.mark.parametrize("variant", ["lb", "ub"])
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -142,7 +104,7 @@ class TestCappedWalk:
         "m,d,T", [(3, 2, 10), (4, 2, 8), (5, 3, 6), (6, 3, 5), (5, 1, 6), (4, 4, 5)]
     )
     def test_both_windows_match_the_walk(self, m, d, T, g, variant):
-        walk = _capped_walk(m, d, g, T + 1, variant)
+        walk = exact_errors(m, d, T + 1, variant, g)
         # steps 0 .. T-1, as expected_error averages them
         steps_from_0 = Fraction(expected_error(m, d, g, T, variant))
         assert abs(steps_from_0 - walk[T] / T) <= 1e-15

@@ -411,6 +411,19 @@ class TestVerify:
         assert "kernel-soundness m<=8: injected kernel fault" in err
         assert "closed-form-vs-markov m<=20: power iteration residual" in err
 
+    def test_unretargeted_ub_fails_the_oracle_check_where_the_cap_binds(self, capsys, monkeypatch):
+        # UB's chain left as LB's agrees with CU wherever g = T, so only the
+        # binding-cap comparison with the exact walk can catch it
+        monkeypatch.setattr(cusketch.bounds, "retarget_copy", lambda kernel: kernel)
+        rc, out, err = run(capsys, "verify", "--level", "quick")
+        assert rc == EXIT_VERIFY_FAILED
+        assert out.splitlines()[:3] == [
+            "ok    oracle-equivalence m=3 d=2 T=1",
+            "FAIL  oracle-equivalence m=3 d=2 T=2",
+            "ok    oracle-equivalence m=4 d=2 T=1",
+        ]
+        assert "T=2: at g=1 the ub chain gives 0.38888888888888884, the exact walk 0.55" in err
+
 
 class TestClosedStdout:
     """A reader that closes the pipe early ends the output, not the command."""

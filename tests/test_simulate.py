@@ -26,6 +26,7 @@ from cusketch.simulate import (
     _stderr,
     brute_force_expected_error,
     estimate_error,
+    exact_errors,
     expected_min_over_subsets,
     mix64,
     run_trajectory,
@@ -73,14 +74,20 @@ class TestSimConfig:
     def test_capped_variant_requires_g(self):
         with pytest.raises(ConfigurationError):
             SimConfig(m=4, d=2, T=10, runs=1, seed=0, variant="lb")
+        with pytest.raises(ConfigurationError, match="g >= 1"):
+            exact_errors(4, 2, 10, "ub", 0)
 
     def test_cap_refused_for_plain_cu(self):
         with pytest.raises(ConfigurationError, match="lb/ub"):
             SimConfig(m=4, d=2, T=10, runs=1, seed=0, g=3)
+        with pytest.raises(ConfigurationError, match="lb/ub"):
+            exact_errors(4, 2, 10, "cu", 3)
 
     def test_bad_variant(self):
         with pytest.raises(ConfigurationError):
             SimConfig(m=4, d=2, T=10, runs=1, seed=0, variant="min")
+        with pytest.raises(ConfigurationError, match="cu/lb/ub"):
+            exact_errors(4, 2, 10, "min")
 
     def test_bad_horizon(self):
         with pytest.raises(ConfigurationError):
@@ -640,8 +647,9 @@ class TestBruteForceOracle:
 
         monkeypatch.setattr(cusketch.simulate, "_run_steps", stepper)
         # T * C(20, 10) = 1,108,536 stepped states, at least one per step
-        with pytest.raises(ConfigurationError, match="guard"):
-            brute_force_expected_error(20, 10, 6)
+        for variant, g in (("cu", None), ("lb", 1), ("ub", 1)):
+            with pytest.raises(ConfigurationError, match="guard"):
+                exact_errors(20, 10, 6, variant, g)
 
     def test_guard_refuses_mid_walk(self, monkeypatch):
         calls = []
@@ -653,10 +661,14 @@ class TestBruteForceOracle:
 
         monkeypatch.setattr(cusketch.simulate, "_run_steps", stepper)
         monkeypatch.setattr(cusketch.simulate, "ORACLE_LEAF_GUARD", 100)
-        # 20 * C(3, 2) = 60 is within the budget, the distinct states are not
-        with pytest.raises(ConfigurationError, match="guard"):
-            brute_force_expected_error(3, 2, 20)
-        assert 0 < len(calls) <= 100
+        # 20 * C(3, 2) = 60 is within the budget, the distinct states are
+        # not: under CU the gap grows, and at g = 1 the walk's two offset
+        # tuples are counted again at every step
+        for variant, g in (("cu", None), ("lb", 1), ("ub", 1)):
+            calls.clear()
+            with pytest.raises(ConfigurationError, match="guard"):
+                exact_errors(3, 2, 20, variant, g)
+            assert 0 < len(calls) <= 100
 
     def test_monte_carlo_agrees_with_oracle(self):
         exact = brute_force_expected_error(4, 2, 3)
