@@ -5,8 +5,12 @@ average estimation error of the plain conservative-update sketch; the UB
 chain's upper-bounds it. With r the per-state expected error increment (the
 row sums of P element-wise B), the finite-horizon bound is
 (1/T) sum_{t<T} e_0^T P^t r. It is summed backward, h <- r + P h, which
-reads P row by row; the long-run bound weights the stationary vector of the
-chain by r.
+reads P row by row. The long-run bound is pi.r, pi the chain's stationary
+vector. It comes from one BiCGSTAB solve of the Poisson equation
+(I - P + 1 e_0^T) h = r, which also reads P row by row, and is certified by
+Odoni's interval: for any h, pi.r lies between the least and greatest entry
+of r + P h - h (`long_run_interval`). A chain whose interval the solve
+cannot make tol wide falls back to power iteration (`stationary`).
 
 `chain_values` is the one entry point: it guards, builds and evaluates each
 chain and returns its value, edge count and seconds; UB's kernel is LB's,
@@ -47,6 +51,9 @@ ARNOLDI_NCV = 20
 RESIDUAL_FLOOR = 8 * np.finfo(float).eps
 # Power steps after which `stationary` raises NonConvergenceError.
 MAX_POWER_ITERS = 10**6
+# BiCGSTAB iterations (two mat-vecs each) before the Poisson solve gives up.
+# The m=50, d=4, g=3 chains need 134 (LB) and 111 (UB).
+MAX_KRYLOV_ITERS = 1000
 
 
 def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]:
@@ -205,6 +212,109 @@ def _stationary_direct(pt: sp.csc_matrix, n: int) -> np.ndarray:
     return np.asarray(sol)
 
 
+def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
+    """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB.
+
+    The exact solution has h[0] = pi.r and r + P h - h = h[0] everywhere, so
+    the smaller h's residual, the narrower its Odoni interval. The iteration
+    is van der Vorst's (SIAM J. Sci. Stat. Comput. 13, 1992) as SciPy's
+    `bicgstab` runs it, from h = 0 until the residual's 2-norm is at most
+    tol / 4, a breakdown, or MAX_KRYLOV_ITERS iterations; the returned h may
+    be anything, NaN included, as only its interval is trusted. The mat-vec
+    reads P row by row. Inner products use `np.einsum`, not BLAS: OpenBLAS
+    splits a dot product of over 10,000 entries across two threads, and with
+    the second core busy that made `bicgstab`'s m=50, d=4, g=3 LB solve take
+    1-6 s instead of 0.1 s. BiCGSTAB on the transposed system for pi breaks
+    down on many chains with d <= 3.
+    """
+    p, r = kernel.p, kernel.r
+    tiny = np.finfo(float).eps ** 2  # `bicgstab`'s breakdown threshold
+
+    def a(x: np.ndarray) -> np.ndarray:
+        y = x - p @ x
+        y += x[0]
+        return y
+
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        return float(np.einsum("i,i", x, y))
+
+    h = np.zeros_like(r)
+    res, shadow = r.copy(), r.copy()
+    direction, v = np.zeros_like(r), np.zeros_like(r)
+    rho_prev = alpha = omega = 1.0
+    stop = (tol / 4) ** 2
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_KRYLOV_ITERS):
+            rho = dot(shadow, res)
+            if dot(res, res) <= stop or abs(rho) < tiny or abs(omega) < tiny:
+                break
+            direction -= omega * v
+            direction *= (rho / rho_prev) * (alpha / omega)
+            direction += res
+            v = a(direction)
+            alpha = rho / dot(shadow, v)
+            s = res - alpha * v
+            h += alpha * direction
+            if dot(s, s) <= stop:
+                break
+            t = a(s)
+            omega = dot(t, s) / dot(t, t)
+            h += omega * s
+            res = s - omega * t
+            rho_prev = rho
+    return h
+
+
+def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, float]:
+    """An interval [lo, hi] that holds the chain's long-run value pi.r, for any h.
+
+    With e = r + P h - h, pi.e = pi.r because pi P = pi, so pi.r, a convex
+    combination of e, lies in [min e, max e] (Odoni, Oper. Res. 17, 1969),
+    for the chain whose P and r are stored. The interval is widened by the
+    rounding of e in float64: each entry is a sum of k = (row nonzeros) + 2
+    terms, off by at most gamma_k (r + P|h| + |h|) with
+    gamma_k = k u / (1 - k u), u the unit roundoff (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.1). It is then
+    intersected with [min r, max r], which holds pi.r too, so a non-finite
+    or useless h gives that interval. The closer h is to the Poisson
+    solution, the narrower the interval.
+    """
+    p, r = kernel.p, kernel.r
+    lo, hi = float(r.min()), float(r.max())
+    if not np.isfinite(h).all():
+        return lo, hi
+    k = int(np.diff(p.indptr).max()) + 2
+    u = float(np.finfo(float).eps) / 2
+    gamma = k * u / (1 - k * u)
+    abs_h = np.abs(h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = r + p @ h - h
+        slack = gamma * float((r + p @ abs_h + abs_h).max())
+        e_lo, e_hi = float(e.min()) - slack, float(e.max()) + slack
+    # `>` and `<` are False for a NaN bound, which then leaves [min r, max r]
+    return (e_lo if e_lo > lo else lo), (e_hi if e_hi < hi else hi)
+
+
+def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
+    """The chain's long-run value pi.r: certified by Odoni's interval, else by power iteration.
+
+    When the Poisson solve makes the interval at most tol wide, LB reports
+    its low end and UB its high end, so each bound errs only on its own safe
+    side, whatever error the solve leaves. Otherwise the value is
+    `stationary`'s pi.r, which must lie in the interval.
+    """
+    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
+    if hi - lo <= tol:
+        return lo if kernel.variant == "lb" else hi
+    value = float(stationary(kernel, tol=tol) @ kernel.r)
+    if not lo <= value <= hi:
+        raise InternalConsistencyError(
+            f"the {kernel.variant} chain's power-iteration value {value!r} "
+            f"lies outside its long-run interval [{lo!r}, {hi!r}]"
+        )
+    return value
+
+
 class ChainValue(NamedTuple):
     """One chain's bound, its event count and the wall time spent on it.
 
@@ -237,10 +347,10 @@ def chain_values(
     (`retarget_capped`). At a finite horizon the pair is summed at once,
     LB on the calling thread and UB on one worker thread (`_finite_pair`);
     the two kernels share P's values and row pointers. In the long-run mode
-    the chains are solved one after the other, since two ARPACK runs at once
-    were no faster, and LB's kernel is re-targeted in place once its value
-    is known, so one P is held at a time. Each value is the one a chain
-    evaluated alone gives, bit for bit.
+    the chains are solved one after the other (`_long_run_value`), and LB's
+    kernel is re-targeted in place once its value is known, so one P is held
+    at a time. Each value is the one a chain evaluated alone gives, bit for
+    bit.
     """
     if T is None:
         _check_tol(tol)
@@ -261,7 +371,7 @@ def chain_values(
             kernel = None  # hold one chain at a time
             kernel = build_kernel(space, variant)
         if T is None:
-            value = float(stationary(kernel, tol=tol) @ kernel.r)
+            value = _long_run_value(kernel, tol)
         else:
             value = expected_error_from_kernel(kernel, T)
         chains[variant] = ChainValue(value, kernel.n_edges, time.perf_counter() - start)

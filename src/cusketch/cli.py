@@ -343,7 +343,12 @@ def _build_parser() -> _Parser:
     common(p, t_flag=False)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--variant", choices=("lb", "ub", "both"), default="both")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument(
+        "--tol", type=float, default=1e-12,
+        help="largest width of a limit's certified interval; a chain that the "
+        "Poisson solve cannot certify this tightly falls back to power "
+        "iteration, which stops once ||pi P - pi||_inf <= tol (default: %(default)s)",
+    )
     p.set_defaults(func=_cmd_asymptotic)
 
     p = sub.add_parser("closed-form", help="d = m - 1 closed-form results")

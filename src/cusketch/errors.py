@@ -6,7 +6,12 @@ class ConfigurationError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Power iteration failed to reach the requested tolerance."""
+    """The long-run solve failed to reach the requested tolerance.
+
+    Raised by power iteration, the fallback for a chain whose Poisson solve
+    leaves a certified interval wider than tol; `residual` and `iterations`
+    are power iteration's.
+    """
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)

@@ -391,11 +391,10 @@ def sandwich_trace(m: int, d: int, g: int, T: int, seed: int) -> SandwichReport:
 
     Verifies the element-wise ordering
     LB(g) <= LB(g+1) <= CU <= UB(g+1) <= UB(g) after every step, holding
-    the snapshots of one block of steps at a time.
+    the snapshots of one block of steps at a time. A bad (m, d), T < 1 or
+    g < 1 is refused as `_check_walk` refuses it.
     """
-    if g < 1:
-        raise ConfigurationError(f"g must be >= 1, got {g}")
-    SketchConfig(m, d)
+    _check_walk(m, d, T, "lb", g)
     chains = [(_LB, g), (_LB, g + 1), (_CU, 0), (_UB, g + 1), (_UB, g)]
     counters = [[0] * m for _ in chains]
     done = 0  # steps of the earlier blocks

@@ -12,16 +12,18 @@ import scipy.sparse.linalg
 import cusketch.bounds
 import cusketch.kernel
 from cusketch.bounds import (
+    _poisson_solve,
     _stationary_direct,
     asymptotic_error,
     chain_values,
     expected_error,
     expected_error_from_kernel,
+    long_run_interval,
     occupancy_sequence,
     stationary,
 )
 from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from cusketch.kernel import build_kernel
+from cusketch.kernel import build_kernel, retarget_capped, retarget_copy
 from cusketch.simulate import brute_force_expected_error, exact_errors
 from cusketch.states import enumerate_states
 
@@ -178,6 +180,20 @@ class TestStationary:
         assert exc.value.iterations <= 5
         assert 1e-300 < exc.value.residual <= 1e-15
 
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_long_run_interval_holds_the_stationary_value(self, m):
+        # every d and g <= 3, LB then UB: the Poisson solve certifies each
+        # chain, and its interval holds power iteration's pi.r
+        for d in range(1, m + 1):
+            for g in (1, 2, 3):
+                kernel = build_kernel(enumerate_states(m, d, g), "lb")
+                for variant in ("lb", "ub"):
+                    if variant == "ub":
+                        retarget_capped(kernel)
+                    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, 1e-12))
+                    value = float(stationary(kernel) @ kernel.r)
+                    assert hi - lo <= 1e-10 and lo <= value <= hi, (m, d, g, variant)
+
 
 def _residual(kernel, pi):
     return float(np.abs(kernel.p.T @ pi - pi).max())
@@ -263,11 +279,29 @@ class TestArnoldiStart:
 
 class TestAsymptotic:
     # Long-run limits at m=50, d=4 recorded with power iteration from the
-    # start state, before the Arnoldi start; they moved by at most 1.4e-12.
+    # start state, stopped at ||pi P - pi||_inf <= 1e-12. They sit 0.97e-12
+    # to 1.4e-12 from the values certified by Odoni's interval.
     LIMITS = {
         3: (0.034978754420538362, 0.037924141739897083),
         4: (0.036676985241395878, 0.037226498811476355),
     }
+
+    @pytest.fixture(scope="class")
+    def g3_kernels(self):
+        lb = build_kernel(enumerate_states(50, 4, 3), "lb")
+        return {"lb": lb, "ub": retarget_copy(lb)}
+
+    @pytest.fixture
+    def intervals(self, monkeypatch):
+        """Every interval `chain_values` computes, in order."""
+        seen = []
+
+        def recorded(kernel, h):
+            seen.append(long_run_interval(kernel, h))
+            return seen[-1]
+
+        monkeypatch.setattr(cusketch.bounds, "long_run_interval", recorded)
+        return seen
 
     @pytest.mark.parametrize("variant", ["lb", "ub"])
     def test_g3_limits_pinned(self, variant):
@@ -276,9 +310,64 @@ class TestAsymptotic:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("variant", ["lb", "ub"])
-    def test_g4_limits_pinned(self, variant):
+    def test_g4_limits_pinned(self, variant, intervals):
         expected = self.LIMITS[4][variant == "ub"]
-        assert abs(asymptotic_error(50, 4, 4, variant) - expected) <= 1e-9
+        value = asymptotic_error(50, 4, 4, variant)
+        assert abs(value - expected) <= 1e-9
+        [(lo, hi)] = intervals
+        assert hi - lo <= 1e-12 and value == (lo if variant == "lb" else hi)
+
+    def test_g3_needs_no_arpack(self, monkeypatch, intervals):
+        # the benchmark chains are certified by the Poisson solve alone, and
+        # each bound is the end of its interval on its own safe side
+        def eigs(*args, **kwargs):
+            raise AssertionError("the long-run solve fell back to ARPACK")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        chains = chain_values(50, 4, 3, None)
+        assert abs(chains["lb"].value - self.LIMITS[3][0]) <= 1e-9
+        assert abs(chains["ub"].value - self.LIMITS[3][1]) <= 1e-9
+        (lb_lo, lb_hi), (ub_lo, ub_hi) = intervals
+        assert lb_hi - lb_lo <= 1e-12 and ub_hi - ub_lo <= 1e-12
+        assert (chains["lb"].value, chains["ub"].value) == (lb_lo, ub_hi)
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    @pytest.mark.parametrize(
+        "bad_h",
+        [
+            lambda kernel: np.zeros(len(kernel.r)),
+            lambda kernel: kernel.r.copy(),
+            lambda kernel: np.random.Generator(np.random.PCG64(7)).random(len(kernel.r)),
+            lambda kernel: np.full(len(kernel.r), np.nan),
+        ],
+        ids=["zeros", "r", "random", "nan"],
+    )
+    def test_bad_h_gives_a_wide_interval_holding_the_pin(self, g3_kernels, variant, bad_h):
+        kernel = g3_kernels[variant]
+        lo, hi = long_run_interval(kernel, bad_h(kernel))
+        assert hi - lo > 1e-3
+        assert lo <= self.LIMITS[3][variant == "ub"] <= hi
+        assert kernel.r.min() <= lo and hi <= kernel.r.max()
+
+    def test_uncertified_chain_falls_back_to_power_iteration(self, monkeypatch, intervals):
+        # frozen self-loops near 0.99: the solve leaves a wide interval, and
+        # the value is power iteration's, bit for bit as before the solve
+        calls = []
+        power = cusketch.bounds.stationary
+
+        def stationary_spy(kernel, tol):
+            calls.append(kernel.variant)
+            return power(kernel, tol)
+
+        monkeypatch.setattr(cusketch.bounds, "stationary", stationary_spy)
+        assert asymptotic_error(200, 3, 1, "lb") == 0.0025625508887330852
+        [(lo, hi)] = intervals
+        assert calls == ["lb"] and hi - lo > 1e-12
+
+    def test_fallback_value_outside_the_interval_is_refused(self, monkeypatch):
+        monkeypatch.setattr(cusketch.bounds, "long_run_interval", lambda kernel, h: (1.0, 2.0))
+        with pytest.raises(InternalConsistencyError, match="outside its long-run interval"):
+            asymptotic_error(9, 3, 2, "lb")
 
     def test_two_state_limits(self):
         assert asymptotic_error(3, 2, 1, "lb") == pytest.approx(2 / 5, abs=1e-10)

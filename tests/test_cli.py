@@ -397,7 +397,10 @@ class TestVerify:
             raise InternalConsistencyError("injected kernel fault")
 
         monkeypatch.setattr(cli_mod, "build_kernel", build_kernel)
-        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 0)  # every solve gives up
+        # every solve gives up: the Poisson solve certifies nothing, so each
+        # chain falls back to power iteration, which stops at once
+        monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
+        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 0)
         rc, out, err = run(capsys, "verify", "--level", "full")
         assert rc == EXIT_VERIFY_FAILED
         lines = out.splitlines()

@@ -390,9 +390,10 @@ class TestSandwich:
             report = sandwich_trace(m=6, d=2, g=2, T=80, seed=seed)
             assert report.ok and report.first_violation is None
 
-    def test_invalid_cap(self):
+    @pytest.mark.parametrize("g,T", [(0, 10), (1, 0), (1, -5)])
+    def test_invalid_cap(self, g, T):
         with pytest.raises(ConfigurationError):
-            sandwich_trace(m=4, d=2, g=0, T=10, seed=0)
+            sandwich_trace(m=4, d=2, g=g, T=T, seed=0)
 
     @pytest.mark.parametrize("ub_fault,expected", [(True, (4, 0)), (False, (7, 2))])
     def test_first_violation_is_earliest_step_then_chain_order(
