@@ -6,11 +6,14 @@ chain's upper-bounds it. With r the per-state expected error increment (the
 row sums of P element-wise B), the finite-horizon bound is
 (1/T) sum_{t<T} e_0^T P^t r. It is summed backward, h <- r + P h, which
 reads P row by row. The long-run bound is pi.r, pi the chain's stationary
-vector. It comes from one BiCGSTAB solve of the Poisson equation
+vector. It comes from a BiCGSTAB solve of the Poisson equation
 (I - P + 1 e_0^T) h = r, which also reads P row by row, and is certified by
 Odoni's interval: for any h, pi.r lies between the least and greatest entry
-of r + P h - h (`long_run_interval`). A chain whose interval the solve
-cannot make tol wide falls back to power iteration (`stationary`).
+of r + P h - h (`long_run_interval`). A solve that met tol on its recursive
+residual but left the interval wider than tol is restarted once from its
+true residual. A chain whose interval the solve cannot make tol wide falls
+back to power iteration (`stationary`) from an ARPACK start, and only that
+fallback imports `scipy.sparse.linalg`.
 
 `chain_values` is the one entry point: it guards, builds and evaluates each
 chain and returns its value, edge count and seconds; UB's kernel is LB's,
@@ -26,8 +29,6 @@ import time
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from .kernel import (
@@ -39,7 +40,6 @@ from .kernel import (
 )
 from .states import StateSpace, enumerate_states
 
-DIRECT_SOLVE_LIMIT = 2000
 OCCUPANCY_TOL = 1e-12
 # Arnoldi basis size for the stationary start vector. 40 raised the peak RSS
 # of `asymptotic --m 50 --d 4 --g 3` from 72.2 to 76.2 MB and ran no faster.
@@ -51,7 +51,7 @@ ARNOLDI_NCV = 20
 RESIDUAL_FLOOR = 8 * np.finfo(float).eps
 # Power steps after which `stationary` raises NonConvergenceError.
 MAX_POWER_ITERS = 10**6
-# BiCGSTAB iterations (two mat-vecs each) before the Poisson solve gives up.
+# BiCGSTAB iterations (two mat-vecs each) before one Poisson solve gives up.
 # The m=50, d=4, g=3 chains need 134 (LB) and 111 (UB).
 MAX_KRYLOV_ITERS = 1000
 
@@ -115,11 +115,10 @@ def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
     thousands of steps a slowly rotating second eigenvalue pair costs. The
     iteration stops once ||pi P - pi||_inf <= tol, and raises
     NonConvergenceError once the residual sits at its rounding floor above
-    tol. For small spaces a direct linear solve of the balance equations
-    cross-checks the result.
+    tol. `_long_run_value`, its caller in the package, checks the result
+    against Odoni's interval.
     """
     _check_tol(tol)
-    n = len(kernel.space)
     pt = kernel.p.T
     pi = _start_vector(kernel)
     residual = np.inf
@@ -144,14 +143,6 @@ def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
             residual=residual,
             iterations=MAX_POWER_ITERS,
         )
-
-    if n <= DIRECT_SOLVE_LIMIT:
-        direct = _stationary_direct(pt, n)
-        # `not <=` also fails the NaN a singular balance system solves to
-        if not float(np.abs(direct - pi).max()) <= max(1e-8, 100 * tol):
-            raise InternalConsistencyError(
-                "power iteration and direct solve disagree on the stationary vector"
-            )
     return pi
 
 
@@ -170,17 +161,20 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     ARPACK needs k < n - 1, so a two-state chain starts from the solution of
     its balance equation, pi_0 P_01 = pi_1 P_10: from the point mass, with
     lambda_2 = -(m-1)/m, it needs hundreds of power steps. A one-state chain
-    starts from the point mass, its stationary vector. (np.linalg.eig would
-    load LAPACK's eigensolver: +1.1 MB peak RSS on `verify --level full`.)
-    Any ARPACK failure starts from the point mass on the initial state. The
-    uniform v0 matters: from the point mass ARPACK converged to a wrong Ritz
-    vector on the m=50, d=4, g=3 chains.
+    starts from the point mass, its stationary vector. Any ARPACK failure
+    starts from the point mass on the initial state. The uniform v0 matters:
+    from the point mass ARPACK converged to a wrong Ritz vector on the m=50,
+    d=4, g=3 chains. `scipy.sparse.linalg` is imported here, not with the
+    module: it loads `scipy.linalg` and SciPy's own OpenBLAS, about 10 MB of
+    peak RSS that a process whose chains need no fallback never uses.
     """
     n = len(kernel.space)
     vec = None
     if n == 2:
         vec = np.array([kernel.p[1, 0], kernel.p[0, 1]])  # (P_10, P_01)
     elif n > 2:
+        import scipy.sparse.linalg
+
         try:
             _, vecs = scipy.sparse.linalg.eigs(
                 kernel.p.T, k=1, which="LR", tol=0, v0=np.full(n, 1.0 / n),
@@ -202,30 +196,25 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     return pi
 
 
-def _stationary_direct(pt: sp.csc_matrix, n: int) -> np.ndarray:
-    """Solve (P^T - I) pi = 0 with sum(pi) = 1 by replacing one equation."""
-    a = (pt - sp.eye(n)).tolil()
-    a[n - 1, :] = 1.0
-    b = np.zeros(n)
-    b[n - 1] = 1.0
-    sol = scipy.sparse.linalg.spsolve(a.tocsr(), b)
-    return np.asarray(sol)
-
-
-def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
-    """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB.
+def _poisson_solve(
+    kernel: TransitionKernel, tol: float, h: np.ndarray | None = None
+) -> tuple[np.ndarray, bool]:
+    """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB, and whether it met tol.
 
     The exact solution has h[0] = pi.r and r + P h - h = h[0] everywhere, so
     the smaller h's residual, the narrower its Odoni interval. The iteration
     is van der Vorst's (SIAM J. Sci. Stat. Comput. 13, 1992) as SciPy's
-    `bicgstab` runs it, from h = 0 until the residual's 2-norm is at most
-    tol / 4, a breakdown, or MAX_KRYLOV_ITERS iterations; the returned h may
-    be anything, NaN included, as only its interval is trusted. The mat-vec
-    reads P row by row. Inner products use `np.einsum`, not BLAS: OpenBLAS
-    splits a dot product of over 10,000 entries across two threads, and with
-    the second core busy that made `bicgstab`'s m=50, d=4, g=3 LB solve take
-    1-6 s instead of 0.1 s. BiCGSTAB on the transposed system for pi breaks
-    down on many chains with d <= 3.
+    `bicgstab` runs it, from h = 0, or from the given h with residual
+    r - A h, until the residual's 2-norm is at most tol / 4, a breakdown,
+    or MAX_KRYLOV_ITERS iterations; the flag is True only in the first case.
+    The residual is updated by recursion, which drifts from the true one,
+    so a solve that met tol may still leave a wide interval. The returned h
+    may be anything, NaN included, as only its interval is trusted. The
+    mat-vec reads P row by row. Inner products use `np.einsum`, not BLAS:
+    OpenBLAS splits a dot product of over 10,000 entries across two
+    threads, and with the second core busy that made `bicgstab`'s m=50, d=4,
+    g=3 LB solve take 1-6 s instead of 0.1 s. BiCGSTAB on the transposed
+    system for pi breaks down on many chains with d <= 3.
     """
     p, r = kernel.p, kernel.r
     tiny = np.finfo(float).eps ** 2  # `bicgstab`'s breakdown threshold
@@ -238,15 +227,20 @@ def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
     def dot(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.einsum("i,i", x, y))
 
-    h = np.zeros_like(r)
-    res, shadow = r.copy(), r.copy()
     direction, v = np.zeros_like(r), np.zeros_like(r)
     rho_prev = alpha = omega = 1.0
     stop = (tol / 4) ** 2
     with np.errstate(all="ignore"):
+        if h is None:
+            h, res = np.zeros_like(r), r.copy()
+        else:
+            h, res = h.copy(), r - a(h)
+        shadow = res.copy()
         for _ in range(MAX_KRYLOV_ITERS):
             rho = dot(shadow, res)
-            if dot(res, res) <= stop or abs(rho) < tiny or abs(omega) < tiny:
+            if dot(res, res) <= stop:
+                return h, True
+            if abs(rho) < tiny or abs(omega) < tiny:
                 break
             direction -= omega * v
             direction *= (rho / rho_prev) * (alpha / omega)
@@ -256,13 +250,13 @@ def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
             s = res - alpha * v
             h += alpha * direction
             if dot(s, s) <= stop:
-                break
+                return h, True
             t = a(s)
             omega = dot(t, s) / dot(t, t)
             h += omega * s
             res = s - omega * t
             rho_prev = rho
-    return h
+    return h, False
 
 
 def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, float]:
@@ -298,12 +292,17 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
 def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
     """The chain's long-run value pi.r: certified by Odoni's interval, else by power iteration.
 
-    When the Poisson solve makes the interval at most tol wide, LB reports
-    its low end and UB its high end, so each bound errs only on its own safe
-    side, whatever error the solve leaves. Otherwise the value is
-    `stationary`'s pi.r, which must lie in the interval.
+    A Poisson solve that met tol on its drifted residual but left the
+    interval wider than tol is restarted once from its h; one that broke
+    down or ran out of iterations is not. When the interval is at most tol
+    wide, LB reports its low end and UB its high end, so each bound errs
+    only on its own safe side, whatever error the solve leaves. Otherwise
+    the value is `stationary`'s pi.r, which must lie in the interval.
     """
-    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
+    h, met_tol = _poisson_solve(kernel, tol)
+    lo, hi = long_run_interval(kernel, h)
+    if hi - lo > tol and met_tol:
+        lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol, h)[0])
     if hi - lo <= tol:
         return lo if kernel.variant == "lb" else hi
     value = float(stationary(kernel, tol=tol) @ kernel.r)

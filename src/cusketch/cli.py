@@ -14,15 +14,19 @@ with --format csv) containing the echoed command, its parameters, the
 results with numbers rendered as full-precision decimal strings, and the
 wall time; `simulate --format csv` writes per-run rows instead. Exit codes:
 0 success, 1 invalid or oversized input (bad flags, parameters out of range
-or past a size guard), 2 numeric non-convergence, 3 verification failure.
-`verify` prints one ok/FAIL line per check; a check that raises fails, with
-its message on stderr, and the remaining checks still run.
+or past a size guard), 2 numeric non-convergence, 3 verification failure:
+a failed `verify` check, or an internal-consistency error in any command
+(`table1` rows that do not nest across g, a long-run value outside its
+certified interval, ...). `verify` prints one ok/FAIL line per check; a
+check that raises fails, with its message on stderr, and the remaining
+checks still run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -218,9 +222,17 @@ def _cmd_table1(args):
             file=sys.stderr,
         )
     rows = []
+    lower, upper = -math.inf, math.inf  # the previous row's bounds
     for g in range(1, args.gmax + 1):
         start = time.perf_counter()
         lb, ub = chain_values(50, 4, g, 250).values()
+        # a looser cap gives tighter bounds: LB_g-1 <= LB_g <= UB_g <= UB_g-1
+        if not lower <= lb.value <= ub.value <= upper:
+            raise InternalConsistencyError(
+                f"the g={g} bounds [{lb.value!r}, {ub.value!r}] are crossed or "
+                f"leave the previous row's [{lower!r}, {upper!r}]"
+            )
+        lower, upper = lb.value, ub.value
         rows.append(
             {
                 "g": g,
@@ -399,6 +411,9 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"error: {exc} (residual {exc.residual:.3e})", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     if isinstance(outcome, int):
         return outcome
     parameters, results = outcome

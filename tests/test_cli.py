@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -180,6 +181,14 @@ class TestAsymptotic:
         assert rc == EXIT_NO_CONVERGENCE
         assert "residual" in err
 
+    def test_internal_consistency_error_exit_code(self, capsys, monkeypatch):
+        def long_run_value(kernel, tol):
+            raise InternalConsistencyError("injected long-run fault")
+
+        monkeypatch.setattr(cusketch.bounds, "_long_run_value", long_run_value)
+        rc, out, err = run(capsys, "asymptotic", "--m", "5", "--d", "2", "--g", "2")
+        assert rc == EXIT_VERIFY_FAILED
+        assert out == "" and err == "error: injected long-run fault\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_is_usage_error_before_enumerating(
@@ -361,6 +370,27 @@ class TestTable1:
         row = json.loads(out)["results"]["rows"][0]
         assert float(row["lower_seconds"]) == float(row["upper_seconds"]) == 100.0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0.5, 0.25)],  # LB above UB
+            [(0.25, 0.5), (0.2, 0.4)],  # LB falls as g grows
+            [(0.25, 0.5), (0.3, 0.6)],  # UB rises as g grows
+        ],
+    )
+    def test_rows_that_do_not_nest_exit_3(self, capsys, monkeypatch, rows):
+        import cusketch.cli as cli_mod
+
+        def chain_values(m, d, g, T):
+            lower, upper = rows[g - 1]
+            return {"lb": ChainValue(lower, 7, 0.0), "ub": ChainValue(upper, 7, 0.0)}
+
+        monkeypatch.setattr(cli_mod, "chain_values", chain_values)
+        rc, out, err = run(capsys, "table1", "--gmax", str(len(rows)))
+        assert rc == EXIT_VERIFY_FAILED
+        assert out == ""
+        assert err.splitlines()[-1].startswith(f"error: the g={len(rows)} bounds")
+
     def test_rows_are_the_chain_values(self, capsys):
         rc, out, _ = run(capsys, "table1", "--gmax", "2")
         assert rc == EXIT_OK
@@ -452,3 +482,43 @@ class TestClosedStdout:
         checks = [("first", lambda: True), ("second", lambda: False)]
         monkeypatch.setattr(cli_mod, "_verify_checks", lambda level: iter(checks))
         assert self.run_closed(monkeypatch, "verify") == EXIT_VERIFY_FAILED
+
+
+# Runs in a fresh interpreter: the test process has already imported
+# scipy.sparse.linalg. Each command's output is discarded except the last.
+_SOLVER_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cusketch.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv.split()), out.getvalue()
+
+codes = [run(argv)[0] for argv in (
+    "table1 --gmax 2",
+    "asymptotic --m 50 --d 4 --g 2",
+    "simulate --m 5 --d 2 --t 20 --runs 10 --seed 1",
+    "verify --level quick",
+)]
+loaded = ["scipy.sparse.linalg" in sys.modules]
+rc, out = run("asymptotic --m 200 --d 3 --g 1 --variant lb")
+loaded.append("scipy.sparse.linalg" in sys.modules)
+lower = json.loads(out)["results"]["lower"]
+print(json.dumps({"codes": codes + [rc], "loaded": loaded, "lower": lower}))
+"""
+
+
+def test_solver_stack_loads_only_on_the_fallback():
+    src = str(Path(cusketch.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVER_IMPORT_PROBE], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [EXIT_OK] * 5
+    # none of the first four commands falls back; the (200, 3, 1) LB chain does
+    assert report["loaded"] == [False, True]
+    assert report["lower"] == "0.0025625508887330852"
