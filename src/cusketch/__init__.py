@@ -18,6 +18,7 @@ from .simulate import (
     estimate_error,
     run_trajectory,
     sandwich_trace,
+    sandwich_traces,
     worst_case_probe,
 )
 from .sketch import (
@@ -64,6 +65,7 @@ __all__ = [
     "query",
     "run_trajectory",
     "sandwich_trace",
+    "sandwich_traces",
     "state_space_size",
     "ub_update",
     "uniform_select",

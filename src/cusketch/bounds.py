@@ -351,6 +351,13 @@ def chain_values(
     at a time. Each value is the one a chain evaluated alone gives, bit for
     bit.
     """
+    return _chain_values(m, d, g, T, variants, tol)[1]
+
+
+def _chain_values(
+    m: int, d: int, g: int, T: int | None, variants: Sequence[str], tol: float = 1e-12
+) -> tuple[StateSpace, dict[str, ChainValue]]:
+    """`chain_values`' body, which also returns the one state space it enumerated."""
     if T is None:
         _check_tol(tol)
     elif T < 1:
@@ -359,7 +366,7 @@ def chain_values(
     space = enumerate_states(m, d, g)
     if T is not None and sorted(variants) == ["lb", "ub"]:
         pair = _finite_pair(space, T)
-        return {variant: pair[variant] for variant in variants}
+        return space, {variant: pair[variant] for variant in variants}
     chains = {}
     kernel = None
     for variant in variants:
@@ -374,7 +381,7 @@ def chain_values(
         else:
             value = expected_error_from_kernel(kernel, T)
         chains[variant] = ChainValue(value, kernel.n_edges, time.perf_counter() - start)
-    return chains
+    return space, chains
 
 
 def _finite_pair(space: StateSpace, T: int) -> dict[str, ChainValue]:

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import closed_form as cf
-from .bounds import chain_values
+from .bounds import _chain_values, chain_values
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
 from .kernel import build_kernel, dump_kernel, retarget_capped
 from .simulate import (
@@ -43,7 +43,7 @@ from .simulate import (
     brute_force_expected_error,
     estimate_error,
     exact_errors,
-    sandwich_trace,
+    sandwich_traces,
 )
 from .states import enumerate_states, state_space_size
 
@@ -134,14 +134,16 @@ def _dump_whole(space, variant: str, path: str) -> None:
 
 def _cmd_bounds(args):
     variants = _variants(args)
-    chains = chain_values(args.m, args.d, args.g, args.t, variants)
-    space = enumerate_states(args.m, args.d, args.g) if args.dump_kernel else None
+    if args.dump_kernel:  # the dumps reuse the state space the chains were built on
+        space, chains = _chain_values(args.m, args.d, args.g, args.t, variants)
+    else:
+        chains = chain_values(args.m, args.d, args.g, args.t, variants)
     results: dict = {"n_states": state_space_size(args.m, args.d, args.g)}
     for variant, chain in chains.items():
         results[_bound_key(variant)] = chain.value
         results[f"{variant}_edges"] = chain.n_edges
         results[f"{variant}_seconds"] = chain.seconds
-        if space is not None:
+        if args.dump_kernel:
             path = args.dump_kernel
             if len(variants) > 1:
                 path = f"{path.removesuffix('.json')}.{variant}.json"
@@ -266,14 +268,14 @@ def _oracle_agrees(m: int, d: int, T: int) -> bool:
 
 def _sandwiches_hold(n: int, tmax: int) -> bool:
     rng = np.random.Generator(np.random.PCG64(12345))
+    cases = []
     for _ in range(n):
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m + 1))
         g = int(rng.integers(1, 4))
         T = int(rng.integers(1, tmax + 1))
-        if not sandwich_trace(m, d, g, T, seed=int(rng.integers(0, 2**63))).ok:
-            return False
-    return True
+        cases.append((m, d, g, T, int(rng.integers(0, 2**63))))
+    return all(sandwich_traces(cases))
 
 
 def _kernels_build() -> bool:

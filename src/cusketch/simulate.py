@@ -6,8 +6,11 @@ picks the stepper for a block of runs: `_run_steps` advances one list of
 counters in pure Python, at about 1.2 us a step; `_run_rows` advances the
 runs together, as the rows of one (runs x m) array, one NumPy pass of about
 15 us per step whatever the row count. Both apply the same CU, LB or UB
-rule. Sandwich traces and the exact oracle, a walk over the sorted offset
-tuples that CU, LB or UB reach (`exact_errors`), call `_run_steps` directly.
+rule, and `_run_rows` can give each row its own rule and cap: sandwich
+traces (`sandwich_traces`) step the five chains of many cases as the rows
+of one pass and compare adjacent chains after every step. The exact
+oracle, a walk over the sorted offset tuples that CU, LB or UB reach
+(`exact_errors`), calls `_run_steps` directly.
 
 The estimation error of an absent item is never sampled: conditionally on
 the final counters, its expectation over the item's uniformly random
@@ -33,7 +36,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Hashable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,6 +67,8 @@ _MIN_BATCH_RUNS = 16
 # peak RSS by 1.43/1.43/1.95/3.52 MB, against 0.77 s and 1.18 MB for the
 # run-by-run loop: 64 keeps the added memory to 0.25 MB.
 _BATCH_RUNS = 64
+# The chains a sandwich trace steps: LB(g), LB(g+1), CU, UB(g+1), UB(g).
+_CHAINS = 5
 
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -209,7 +214,6 @@ def _run_steps(
     selections: Sequence[Sequence[int]],
     variant: int,
     g: int,
-    snapshots: np.ndarray | None = None,
 ) -> list[int]:
     """Advance `values` in place, one step per selection; return the gap trace.
 
@@ -217,14 +221,13 @@ def _run_steps(
     When the gap equals g and only maxima are selected, LB leaves the
     counters unchanged and UB also lifts every counter at the minimum.
     The minimum, maximum and count at the minimum are tracked, so a step
-    costs O(d) unless the minimum level empties. If `snapshots` is given,
-    its row t receives the counters after step t.
+    costs O(d) unless the minimum level empties.
     """
     value_at = values.__getitem__
     vmin, vmax = min(values), max(values)
     nmin = values.count(vmin)
     gaps = []
-    for t, sel in enumerate(selections):
+    for sel in selections:
         sel_min = min(map(value_at, sel))
         at_cap = variant != _CU and vmax - vmin == g and sel_min == vmax
         if not (at_cap and variant == _LB):
@@ -245,42 +248,56 @@ def _run_steps(
                 vmin += 1
                 nmin = values.count(vmin)
         gaps.append(vmax - vmin)
-        if snapshots is not None:
-            snapshots[t] = values
     return gaps
 
 
-def _run_rows(values: np.ndarray, sel: np.ndarray, variant: int, g: int) -> np.ndarray:
+def _run_rows(
+    values: np.ndarray,
+    sel: np.ndarray,
+    variant: int | np.ndarray,
+    g: int | np.ndarray,
+    after_step: Callable[[int], None] | None = None,
+) -> np.ndarray:
     """Advance every row of the (R, m) counters in place; return the (R, T) gap trace.
 
     Row i takes the selections sel[:, i] of the (T, R, d) array, one per
     step, under the rule of `_run_steps`; each step is one NumPy pass over
-    all rows. The selected counters are gathered and scattered through flat
-    indices: the d indices of a selection are distinct, so adding the
-    increment mask in one fancy assignment is safe.
+    all rows. `variant` and `g` are one code and cap for every row, or
+    arrays of R of them, so rows under different rules step together; when
+    no row is LB or UB, a step does no capped-rule work. `after_step(t)`,
+    if given, is called once the counters hold step t. The selected
+    counters are gathered and scattered through flat indices: a selection's
+    indices are distinct, or repeat an index with the same value and
+    increment, so adding the increment mask in one fancy assignment is safe.
     """
     n_rows, m = values.shape
     flat = values.reshape(-1)  # a view: values is C-contiguous
     row_start = (np.arange(n_rows) * m)[:, None]
     gaps = np.empty((len(sel), n_rows), dtype=np.int64)
     vmin, vmax = values.min(axis=1), values.max(axis=1)
-    for step, step_sel in zip(gaps, sel):
+    capped = bool(np.any(np.not_equal(variant, _CU)))
+    if capped:
+        cap = np.where(np.equal(variant, _CU), -1, g)  # no gap is -1: CU rows never sit at it
+        lb_rows, ub_rows = np.equal(variant, _LB), np.equal(variant, _UB)
+    for t, (step, step_sel) in enumerate(zip(gaps, sel)):
         at = step_sel + row_start
         picked = flat[at]
         sel_min = picked.min(axis=1)
         inc = picked == sel_min[:, None]
-        if variant != _CU:
-            at_cap = (vmax - vmin == g) & (sel_min == vmax)
-            if variant == _LB:
-                inc[at_cap] = False
+        if capped:
+            at_cap = (vmax - vmin == cap) & (sel_min == vmax)
+            inc[at_cap & lb_rows] = False
+            lift = at_cap & ub_rows
         flat[at] = picked + inc
-        if variant == _UB and at_cap.any():  # lift the minimum of the rows at the cap
-            lifted = values[at_cap]
-            lifted += lifted == vmin[at_cap, None]
-            values[at_cap] = lifted
+        if capped and lift.any():  # lift the minimum of the UB rows at the cap
+            lifted = values[lift]
+            lifted += lifted == vmin[lift, None]
+            values[lift] = lifted
         values.min(axis=1, out=vmin)
         values.max(axis=1, out=vmax)
         np.subtract(vmax, vmin, out=step)
+        if after_step is not None:
+            after_step(t)
     return gaps.T
 
 
@@ -387,30 +404,84 @@ class SandwichReport:
 
 
 def sandwich_trace(m: int, d: int, g: int, T: int, seed: int) -> SandwichReport:
-    """Drive LB(g), LB(g+1), CU, UB(g+1), UB(g) on one selection sequence.
+    """The sandwich report of one case: `sandwich_traces([(m, d, g, T, seed)])[0]`."""
+    return sandwich_traces([(m, d, g, T, seed)])[0]
 
-    Verifies the element-wise ordering
-    LB(g) <= LB(g+1) <= CU <= UB(g+1) <= UB(g) after every step, holding
-    the snapshots of one block of steps at a time. A bad (m, d), T < 1 or
-    g < 1 is refused as `_check_walk` refuses it.
+
+def sandwich_traces(cases: Sequence[tuple[int, int, int, int, int]]) -> list[SandwichReport]:
+    """Drive LB(g), LB(g+1), CU, UB(g+1), UB(g) on each case's selection sequence.
+
+    Verifies, for each (m, d, g, T, seed), the element-wise ordering
+    LB(g) <= LB(g+1) <= CU <= UB(g+1) <= UB(g) after each of its T steps,
+    on the selections `_draws(seed, range(1), T, m, d)` draws. Cases with
+    the same m are stepped together (`_sandwich_chunk`), in chunks of at
+    most `_BATCH_RUNS` cases, fewer where one block of a chunk's selections
+    for its five chains would pass `_DECODE_CELLS` cells. A bad (m, d),
+    T < 1, g < 1 or seed is refused before anything is stepped, as
+    `_check_walk` and `_check_seed` refuse it.
     """
-    _check_walk(m, d, T, "lb", g)
-    chains = [(_LB, g), (_LB, g + 1), (_CU, 0), (_UB, g + 1), (_UB, g)]
-    counters = [[0] * m for _ in chains]
+    for m, d, g, T, seed in cases:
+        _check_walk(m, d, T, "lb", g)
+        _check_seed(seed)
+    by_m: dict[int, list[int]] = {}
+    for i, case in enumerate(cases):
+        by_m.setdefault(case[0], []).append(i)
+    reports: list = [None] * len(cases)
+    for group in by_m.values():
+        steps = min(_BLOCK_STEPS, max(cases[i][3] for i in group))
+        width = max(cases[i][1] for i in group)
+        most = min(_BATCH_RUNS, max(1, _DECODE_CELLS // (_CHAINS * steps * width)))
+        for block in _run_blocks(len(group), most):
+            chunk = [group[k] for k in block]
+            for i, report in zip(chunk, _sandwich_chunk([cases[i] for i in chunk])):
+                reports[i] = report
+    return reports
+
+
+def _sandwich_chunk(cases: Sequence[tuple[int, int, int, int, int]]) -> list[SandwichReport]:
+    """The reports of n cases sharing one m, their 5n chains the rows of one `_run_rows` pass.
+
+    Row k * n + c holds chain k of case c, in the order of `sandwich_traces`;
+    each block of steps is one `_selections` decode and one pass.
+    A case with d below the chunk's widest repeats its first pick, which
+    changes nothing under the rule; steps past a case's T are stepped but
+    not compared. A case's first violation is its earliest step, then the
+    first adjacent chain pair in chain order, then the first counter index.
+    """
+    n, m = len(cases), cases[0][0]
+    _, ds, gs, horizons, seeds = zip(*cases)
+    width, longest = max(ds), max(horizons)
+    values = np.zeros((_CHAINS * n, m), dtype=np.int64)
+    chains = values.reshape(_CHAINS, n, m)  # a view
+    variant = np.repeat([_LB, _LB, _CU, _UB, _UB], n)
+    g = np.array(gs)
+    caps = np.concatenate([g, g + 1, 0 * g, g + 1, g])
+    padded = np.arange(width) >= np.array(ds)[:, None]  # (case, pick): picks past its d
+    rngs = [substream(seed, 0) for seed in seeds]
+    first: dict[int, tuple[int, int]] = {}  # case -> (step, counter index)
+    bad = np.empty((_CHAINS - 1, n, m), dtype=bool)
     done = 0  # steps of the earlier blocks
-    for sel in _draws(seed, range(1), T, m, d):
-        selections = sel[:, 0].tolist()
-        snapshots = np.empty((len(chains), len(selections), m), dtype=np.int64)
-        for (variant, cap), values, snaps in zip(chains, counters, snapshots):
-            _run_steps(values, selections, variant, cap, snaps)
-        bad = snapshots[:-1] > snapshots[1:]  # (adjacent chain pair, step, counter)
-        steps = np.flatnonzero(bad.any(axis=(0, 2)))
-        if len(steps):
-            t = int(steps[0])
-            index = int(np.flatnonzero(bad[:, t])[0]) % m  # first pair in chain order, then index
-            return SandwichReport(ok=False, first_violation=(done + t + 1, index))
-        done += len(selections)
-    return SandwichReport(ok=True)
+
+    def compare(t: int) -> None:
+        np.greater(chains[:-1], chains[1:], out=bad)
+        if bad.any():
+            step = done + t + 1
+            for c in np.flatnonzero(bad.any(axis=(0, 2))).tolist():
+                if c not in first and step <= horizons[c]:
+                    first[c] = (step, int(np.flatnonzero(bad[:, c])[0]) % m)
+
+    for start in range(0, longest, _BLOCK_STEPS):
+        steps = min(_BLOCK_STEPS, longest - start)
+        u = np.zeros((steps, n, width))
+        for c, (rng, d, T) in enumerate(zip(rngs, ds, horizons)):
+            if T > start:
+                mine = min(steps, T - start)
+                u[:mine, c, :d] = rng.random((mine, d))
+        sel = _selections(u.reshape(-1, width), m).reshape(steps, n, width).astype(np.int32)
+        sel = np.where(padded, sel[..., :1], sel)
+        _run_rows(values, np.tile(sel, (1, _CHAINS, 1)), variant, caps, compare)
+        done += steps
+    return [SandwichReport(ok=c not in first, first_violation=first.get(c)) for c in range(n)]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from cusketch.simulate import (
     _run_steps,
     brute_force_expected_error,
     estimate_error,
-    sandwich_trace,
+    sandwich_traces,
     substream,
     worst_case_probe,
 )
@@ -176,18 +176,19 @@ def test_criterion_5_long_run_rates(capsys):
 
 def test_criterion_6_pathwise_sandwich(capsys):
     rng = np.random.Generator(np.random.PCG64(20240817))
-    ok = True
-    detail = ""
+    cases = []
     for _ in range(1000):
         m = int(rng.integers(2, 9))
         d = int(rng.integers(1, m + 1))
         g = int(rng.integers(1, 4))
         T = int(rng.integers(1, 51))
-        report = sandwich_trace(m, d, g, T, seed=int(rng.integers(0, 2**63)))
-        if not report.ok:
-            ok = False
-            detail = f"violation at m={m} d={d} g={g} T={T}: {report.first_violation}"
-            break
+        cases.append((m, d, g, T, int(rng.integers(0, 2**63))))
+    reports = sandwich_traces(cases)
+    ok = all(reports)
+    detail = ""
+    if not ok:
+        (m, d, g, T, _), report = next((c, r) for c, r in zip(cases, reports) if not r)
+        detail = f"violation at m={m} d={d} g={g} T={T}: {report.first_violation}"
     _verdict(capsys, 6, "pathwise sandwich x1000", ok, detail)
     assert ok, detail
 

@@ -1,3 +1,4 @@
+import collections
 import errno
 import json
 import os
@@ -109,6 +110,26 @@ class TestBounds:
         assert str(path) in err and os.strerror(errno.ENOSPC) in err
         assert path.read_bytes() == b"earlier dump"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_kernel_dump_enumerates_the_states_once(self, capsys, monkeypatch, tmp_path):
+        spaces = []
+        enumerate_states = cusketch.bounds.enumerate_states
+
+        def spy(*args):
+            spaces.append(args)
+            return enumerate_states(*args)
+
+        monkeypatch.setattr(cusketch.bounds, "enumerate_states", spy)
+        monkeypatch.setattr(cusketch.cli, "enumerate_states", spy)
+        path = tmp_path / "k.json"
+        rc, _, _ = run(
+            capsys, "bounds", "--m", "6", "--d", "3", "--g", "2", "--t", "5",
+            "--dump-kernel", str(path),
+        )
+        assert rc == EXIT_OK and spaces == [(6, 3, 2)]
+        for variant in ("lb", "ub"):
+            dumped = (tmp_path / f"k.{variant}.json").read_bytes()
+            assert dumped == (DATA / f"kernel_6_3_2.{variant}.json").read_bytes()
 
     def test_zero_horizon_is_usage_error_before_enumerating(self, capsys, monkeypatch):
         def enumerate_states(*args):
@@ -409,6 +430,34 @@ class TestVerify:
         assert rc == EXIT_OK
         assert "FAIL" not in out
         assert "verify quick: 0 failure(s)" in out
+
+    def test_sandwich_check_steps_each_chunk_in_one_pass(self, monkeypatch):
+        import cusketch.simulate as sim
+
+        def run_steps(*args):
+            raise AssertionError("stepped a sandwich chain alone")
+
+        chunks, passes = [], []
+        sandwich_chunk, run_rows = sim._sandwich_chunk, sim._run_rows
+
+        def chunk_spy(cases):
+            chunks.append(cases)
+            return sandwich_chunk(cases)
+
+        def rows_spy(values, *args):
+            passes.append(len(values))
+            return run_rows(values, *args)
+
+        monkeypatch.setattr(sim, "_run_steps", run_steps)
+        monkeypatch.setattr(sim, "_sandwich_chunk", chunk_spy)
+        monkeypatch.setattr(sim, "_run_rows", rows_spy)
+        check = dict(cusketch.cli._verify_checks("full"))["pathwise-sandwich x1000"]
+        assert check()
+        per_m = collections.Counter(case[0] for chunk in chunks for case in chunk)
+        assert sum(per_m.values()) == 1000
+        assert len(chunks) == sum(-(-n // sim._BATCH_RUNS) for n in per_m.values())
+        assert all(len({case[0] for case in chunk}) == 1 for chunk in chunks)
+        assert passes == [5 * len(chunk) for chunk in chunks]  # one pass per chunk
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import cusketch.cli as cli_mod

@@ -31,6 +31,7 @@ from cusketch.simulate import (
     mix64,
     run_trajectory,
     sandwich_trace,
+    sandwich_traces,
     substream,
     worst_case_probe,
 )
@@ -218,17 +219,39 @@ class TestStepperMatchesPureOperations:
         assert _rows_run(m, variant, g, u) == [_spec_run(m, d, variant, g, row) for row in u]
 
     def test_snapshots_record_counters_after_each_step(self):
+        """One step at a time, `_run_steps` gives each prefix's counters and the whole trace."""
         m, d, T = 5, 2, 40
         u = np.random.Generator(np.random.PCG64(3)).random((T, d))
         selections = _selections(u, m).tolist()
-        snapshots = np.empty((T, m), dtype=np.int64)
-        values = [0] * m
-        _run_steps(values, selections, _VARIANT_CODES["ub"], 1, snapshots)
-        for t in range(T):
+        values, trace = [0] * m, []
+        for t, sel in enumerate(selections):
+            trace += _run_steps(values, [sel], _VARIANT_CODES["ub"], 1)
             replay = [0] * m
             _run_steps(replay, selections[: t + 1], _VARIANT_CODES["ub"], 1)
-            assert snapshots[t].tolist() == replay
-        assert snapshots[-1].tolist() == values
+            assert values == replay
+        whole = [0] * m
+        assert _run_steps(whole, selections, _VARIANT_CODES["ub"], 1) == trace
+        assert whole == values
+
+    @pytest.mark.parametrize("rules", ["mixed", "all-cu"])
+    def test_mixed_rows_match_run_steps_row_by_row(self, rules):
+        """Rows under their own variant, cap and padded d step as `_run_steps` steps each alone."""
+        rng = np.random.Generator(np.random.PCG64(6))
+        m, width, T, n_rows = 7, 4, 300, 15
+        variants = np.zeros(n_rows, dtype=np.int64)
+        if rules == "mixed":
+            variants[:] = np.arange(n_rows) % 3
+        caps = np.where(variants == _VARIANT_CODES["cu"], 0, rng.integers(1, 4, n_rows))
+        ds = rng.integers(1, width + 1, n_rows)
+        sel = _selections(rng.random((T * n_rows, width)), m).reshape(T, n_rows, width)
+        padded = np.where(np.arange(width) >= ds[:, None], sel[..., :1], sel)
+        values = np.zeros((n_rows, m), dtype=np.int64)
+        gaps = _run_rows(values, padded, variants, caps)
+        for i in range(n_rows):
+            alone = [0] * m
+            trace = _run_steps(alone, sel[:, i, : ds[i]].tolist(), int(variants[i]), int(caps[i]))
+            assert values[i].tolist() == alone
+            assert gaps[i].tolist() == trace
 
 
 class TestSelections:
@@ -364,24 +387,103 @@ class TestStderr:
         )
 
 
-def _sandwich_reference(m, d, g, T, seed, fault=None):
-    """First violation over the whole horizon, every chain's (T, m) snapshots held at once.
-
-    A `fault` step lifts CU above UB(g+1) at counter 4 from that step on.
-    """
+def _chain_snapshots(m, d, g, T, seed):
+    """The (5, T, m) counters of LB(g), LB(g+1), CU, UB(g+1), UB(g) after each step,
+    replayed one `_run_steps` call a step."""
     selections = _selections(substream(seed, 0).random((T, d)), m).tolist()
     chains = [("lb", g), ("lb", g + 1), ("cu", 0), ("ub", g + 1), ("ub", g)]
     snapshots = np.empty((len(chains), T, m), dtype=np.int64)
     for (variant, cap), snaps in zip(chains, snapshots):
-        _run_steps([0] * m, selections, _VARIANT_CODES[variant], cap, snaps)
-    if fault is not None:
-        snapshots[2, fault - 1 :, 4] += 10**6
+        values = [0] * m
+        for sel, snap in zip(selections, snaps):
+            _run_steps(values, [sel], _VARIANT_CODES[variant], cap)
+            snap[:] = values
+    return snapshots
+
+
+def _sandwich_reference(m, d, g, T, seed, faults=()):
+    """First violation over the whole horizon, every chain's (T, m) snapshots held at once.
+
+    A fault (chain, index, step, shift) adds shift to that chain's counter
+    at index from that step on; a fault past T never shows.
+    """
+    snapshots = _chain_snapshots(m, d, g, T, seed)
+    for chain, index, step, shift in faults:
+        snapshots[chain, step - 1 :, index] += shift
     bad = snapshots[:-1] > snapshots[1:]
     steps = np.flatnonzero(bad.any(axis=(0, 2)))
     if not len(steps):
         return None
     t = int(steps[0])
     return t + 1, int(np.flatnonzero(bad[:, t])[0]) % m
+
+
+def _inject_faults(monkeypatch, faults):
+    """Make the sandwich comparisons of each case in `faults` see its faults.
+
+    `faults` maps a case to (chain, index, step, shift) tuples, as
+    `_sandwich_reference` takes them. The shifts are added to the chunk's
+    counters just before each comparison and taken off after it, so the
+    stepping is unchanged; row chain * n + c holds that chain of case c.
+    """
+    chunk, done = [], [0]  # the cases of the chunk being stepped, its steps so far
+    sandwich_chunk = cusketch.simulate._sandwich_chunk
+    run_rows = cusketch.simulate._run_rows
+
+    def chunk_spy(cases):
+        chunk[:], done[0] = cases, 0
+        return sandwich_chunk(cases)
+
+    def rows_spy(values, sel, variant, g, after_step=None):
+        n = len(chunk)
+
+        def faulted(t):
+            step = done[0] + t + 1
+            shifts = [
+                (chain * n + c, index, shift)
+                for c, case in enumerate(chunk)
+                for chain, index, start, shift in faults.get(case, ())
+                if step >= start
+            ]
+            for row, index, shift in shifts:
+                values[row, index] += shift
+            after_step(t)
+            for row, index, shift in shifts:
+                values[row, index] -= shift
+
+        gaps = run_rows(values, sel, variant, g, faulted)
+        done[0] += len(sel)
+        return gaps
+
+    monkeypatch.setattr(cusketch.simulate, "_sandwich_chunk", chunk_spy)
+    monkeypatch.setattr(cusketch.simulate, "_run_rows", rows_spy)
+
+
+def _record_counters(monkeypatch):
+    """A list that receives a copy of the stepped counters after every `_run_rows` step."""
+    snapshots = []
+    run_rows = cusketch.simulate._run_rows
+
+    def rows_spy(values, sel, variant, g, after_step=None):
+        def record(t):
+            snapshots.append(values.copy())
+            after_step(t)
+
+        return run_rows(values, sel, variant, g, record)
+
+    monkeypatch.setattr(cusketch.simulate, "_run_rows", rows_spy)
+    return snapshots
+
+
+_sandwich_cases = st.integers(2, 8).flatmap(
+    lambda m: st.tuples(
+        st.just(m),
+        st.integers(1, m),
+        st.integers(1, 3),
+        st.integers(1, 40) | st.integers(_BLOCK_STEPS - 2, _BLOCK_STEPS + 20),
+        st.integers(0, 2**64 - 1),
+    )
+)
 
 
 class TestSandwich:
@@ -395,28 +497,30 @@ class TestSandwich:
         with pytest.raises(ConfigurationError):
             sandwich_trace(m=4, d=2, g=g, T=T, seed=0)
 
-    @pytest.mark.parametrize("ub_fault,expected", [(True, (4, 0)), (False, (7, 2))])
+    def test_bad_case_refused_before_any_step(self, monkeypatch):
+        def stepper(*args):
+            raise AssertionError("stepped a batch holding a bad case")
+
+        monkeypatch.setattr(cusketch.simulate, "_run_rows", stepper)
+        for bad in [(4, 5, 1, 10, 0), (4, 2, 1, 10, -1), (3, 2, 1, 10, 2**64)]:
+            with pytest.raises(ConfigurationError):
+                sandwich_traces([(4, 2, 1, 10, 0), bad])
+
+    @pytest.mark.parametrize("ub_fault,expected", [(True, (4, 0)), (False, (7, 4))])
     def test_first_violation_is_earliest_step_then_chain_order(
         self, monkeypatch, ub_fault, expected
     ):
-        import cusketch.simulate as sim
-
-        run_steps = sim._run_steps
-
-        def faulty(values, selections, variant, g, snapshots=None):
-            trace = run_steps(values, selections, variant, g, snapshots)
-            if variant == sim._CU:
-                snapshots[6:, 4] += 100  # CU above UB(3) at counter 4 from step 7
-            elif variant == sim._LB and g == 2:
-                snapshots[6:, 2] += 100  # LB(2) above LB(3) at counter 2 from step 7
-            elif variant == sim._UB and g == 2 and ub_fault:
-                snapshots[3:, 0] -= 100  # UB(3) above UB(2) at counter 0 from step 4
-            return trace
-
-        monkeypatch.setattr(sim, "_run_steps", faulty)
-        report = sandwich_trace(m=6, d=2, g=2, T=20, seed=1)
+        case = (6, 2, 2, 20, 1)
+        faults = [
+            (2, 2, 7, 100),  # CU above UB(3) at counter 2 from step 7
+            (0, 4, 7, 100),  # LB(2) above LB(3) at counter 4 from step 7: the first pair
+        ]
+        if ub_fault:
+            faults.append((4, 0, 4, -100))  # UB(3) above UB(2) at counter 0 from step 4
+        _inject_faults(monkeypatch, {case: faults})
+        report = sandwich_trace(*case)
         assert not report.ok
-        assert report.first_violation == expected
+        assert report.first_violation == expected == _sandwich_reference(*case, faults)
 
     @pytest.mark.parametrize("m,d,g,seed", [(6, 2, 2, 0), (9, 4, 1, 3), (5, 5, 3, 7)])
     def test_blocked_trace_matches_whole_horizon(self, m, d, g, seed):
@@ -428,23 +532,71 @@ class TestSandwich:
         "fault", [3, _BLOCK_STEPS, _BLOCK_STEPS + 1, _BLOCK_STEPS + 6, 2 * _BLOCK_STEPS + 17]
     )
     def test_fault_in_any_block_reports_the_global_step(self, monkeypatch, fault):
-        m, d, g, T, seed = 6, 2, 2, 2 * _BLOCK_STEPS + 17, 1
-        run_steps = cusketch.simulate._run_steps
-        done = [0]  # CU steps of the earlier blocks
+        case = (6, 2, 2, 2 * _BLOCK_STEPS + 17, 1)
+        faults = [(2, 4, fault, 10**6)]  # CU above UB(3) at counter 4 from the fault on
+        _inject_faults(monkeypatch, {case: faults})
+        report = sandwich_trace(*case)
+        assert report.first_violation == (fault, 4) == _sandwich_reference(*case, faults)
 
-        def faulty(values, selections, variant, cap, snapshots=None):
-            trace = run_steps(values, selections, variant, cap, snapshots)
-            if variant == _VARIANT_CODES["cu"]:
-                snapshots[max(0, fault - 1 - done[0]) :, 4] += 10**6
-                done[0] += len(selections)
-            return trace
+    @pytest.mark.parametrize("fault", [5, _BLOCK_STEPS, _BLOCK_STEPS + 1])
+    def test_fault_in_one_case_leaves_the_others_alone(self, monkeypatch, fault):
+        T = _BLOCK_STEPS + 9
+        cases = [(6, 2, 2, T, 0), (6, 6, 2, T, 1), (6, 3, 2, 40, 2), (6, 1, 2, T, 3)]
+        _inject_faults(monkeypatch, {
+            cases[1]: [(2, 4, fault, 10**6)],  # CU above UB(3) at counter 4
+            cases[2]: [(2, 4, 41, 10**6)],  # the same, stepped but past the case's T
+        })
+        reports = sandwich_traces(cases)
+        assert [r.first_violation for r in reports] == [None, (fault, 4), None, None]
 
-        monkeypatch.setattr(cusketch.simulate, "_run_steps", faulty)
-        report = sandwich_trace(m, d, g, T, seed)
-        assert report.first_violation == (fault, 4) == _sandwich_reference(m, d, g, T, seed, fault)
+    def test_narrow_case_steps_as_it_would_alone(self, monkeypatch):
+        narrow, wide = (6, 2, 2, 30, 1), (6, 5, 1, 20, 2)
+        snapshots = _record_counters(monkeypatch)
+        assert all(sandwich_traces([narrow, wide]))
+        batch = np.array(snapshots).reshape(30, 5, 2, 6)  # (step, chain, case, counter)
+        for c, (m, d, g, T, seed) in enumerate([narrow, wide]):
+            alone = _chain_snapshots(m, d, g, T, seed).transpose(1, 0, 2)  # (step, chain, counter)
+            assert np.array_equal(batch[:T, :, c], alone)
+        snapshots.clear()
+        assert sandwich_trace(*narrow)
+        assert np.array_equal(np.array(snapshots), batch[:, :, 0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(cases=st.lists(_sandwich_cases, min_size=1, max_size=8), data=st.data())
+    def test_mixed_batches_match_the_per_case_reference(self, cases, data):
+        faults = {}
+        for m, d, g, T, seed in cases:
+            fault = st.tuples(
+                st.integers(0, 4), st.integers(0, m - 1), st.integers(1, T + 3),
+                st.sampled_from([-(10**6), 10**6]),
+            )
+            faults[(m, d, g, T, seed)] = data.draw(st.lists(fault, max_size=2))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _inject_faults(monkeypatch, faults)
+            reports = sandwich_traces(cases)
+        assert [r.first_violation for r in reports] == [
+            _sandwich_reference(*case, faults[case]) for case in cases
+        ]
+        assert [r.ok for r in reports] == [r.first_violation is None for r in reports]
+
+    def test_chunks_hold_at_most_the_cell_budget(self, monkeypatch):
+        cases = [(6, 3, 1, 50, seed) for seed in range(10)] + [(7, 2, 2, 9, 0)]
+        whole = sandwich_traces(cases)
+        chunks = []
+        sandwich_chunk = cusketch.simulate._sandwich_chunk
+
+        def spy(chunk):
+            chunks.append(chunk)
+            return sandwich_chunk(chunk)
+
+        monkeypatch.setattr(cusketch.simulate, "_sandwich_chunk", spy)
+        monkeypatch.setattr(cusketch.simulate, "_DECODE_CELLS", 5 * 50 * 3 * 4)  # 4 cases
+        assert sandwich_traces(cases) == whole
+        assert chunks == [cases[0:3], cases[3:6], cases[6:10], cases[10:]]
 
     def test_memory_holds_one_block_of_snapshots(self):
-        # the five (T, m) int64 snapshot arrays of the whole horizon take 38 MB here
+        # the five chains' (T, m) int64 counters over the whole horizon would
+        # take 38 MB here; one block of steps is drawn and stepped at a time
         tracemalloc.start()
         try:
             report = sandwich_trace(m=50, d=4, g=3, T=20_000, seed=1)
