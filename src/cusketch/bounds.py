@@ -15,10 +15,15 @@ true residual. A chain whose interval the solve cannot make tol wide falls
 back to power iteration (`stationary`) from an ARPACK start, and only that
 fallback imports `scipy.sparse.linalg`.
 
+Every product with P outside that fallback goes through `_products`: on a P
+of at least SPLIT_MIN_NNZ nonzeros it splits the rows into two parts of equal
+nonzero count, one per core, and either way it gives the bits of `p @ x`.
+
 `chain_values` is the one entry point: it guards, builds and evaluates each
-chain and returns its value, edge count and seconds; UB's kernel is LB's,
-re-targeted. `expected_error` and `asymptotic_error` are its only views, one
-chain's value each.
+chain, one after the other, and returns its value, edge count and seconds;
+UB's kernel is LB's, re-targeted in place once LB's value is known, so one P
+is held at a time. `expected_error` and `asymptotic_error` are its only
+views, one chain's value each.
 """
 
 from __future__ import annotations
@@ -26,21 +31,17 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Iterator, NamedTuple, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+# the CSR kernel behind SciPy's `p @ x`, here called on a range of rows
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import (
-    TransitionKernel,
-    build_kernel,
-    check_kernel_size,
-    retarget_capped,
-    retarget_copy,
-)
+from .kernel import TransitionKernel, build_kernel, check_kernel_size, retarget_capped
 from .states import StateSpace, enumerate_states
 
-OCCUPANCY_TOL = 1e-12
 # Arnoldi basis size for the stationary start vector. 40 raised the peak RSS
 # of `asymptotic --m 50 --d 4 --g 3` from 72.2 to 76.2 MB and ran no faster.
 ARNOLDI_NCV = 20
@@ -54,26 +55,74 @@ MAX_POWER_ITERS = 10**6
 # BiCGSTAB iterations (two mat-vecs each) before one Poisson solve gives up.
 # The m=50, d=4, g=3 chains need 134 (LB) and 111 (UB).
 MAX_KRYLOV_ITERS = 1000
+# Nonzeros of P from which `_products` splits each mat-vec by rows over two
+# threads. On a 2-core Xeon, against one thread, a split step took 1.29x as
+# long at m=50, d=4, g=3 (207k nonzeros), where the hand-off costs more than
+# it saves, 1.03-1.06x at 0.6-1.9M nonzeros, 0.56-1.00x at g=4 (3.2M) and
+# about 0.55x at g=5 (38.7M); the gain varies with the load on the other core.
+SPLIT_MIN_NNZ = 1 << 20
 
 
-def occupancy_sequence(kernel: TransitionKernel, T: int) -> Iterator[np.ndarray]:
-    """Yield the state distribution at steps 0 .. T-1, one vector at a time.
+@contextmanager
+def _products(p) -> Iterator[Callable[..., None]]:
+    """Yield product(x, out, add=None), which writes P x, plus add if given, into out.
 
-    The forward reference for the backward sum. Step 0 is the point mass on
-    the all-at-minimum state. Each vector is renormalized to wash out float
-    drift; the correction is ~1e-16 per step.
+    Each product has the bits of `p @ x` (then `+= add`): SciPy's
+    `csr_matvec` sums each row into a zeroed entry in stored order, so
+    splitting the rows changes no sum. From SPLIT_MIN_NNZ nonzeros on, the
+    rows are cut where half of P's nonzeros lie on each side (Williams et
+    al., SC'07). The calling thread computes the first part and one worker
+    thread, started here and joined on exit, the second; one semaphore
+    hands the worker each product and another hands it back. `csr_matvec`
+    releases the GIL, so the two parts run on two cores at once. A fault in
+    the worker's part is raised by the product; an interrupt or fault on
+    the calling thread stops the worker once its current part is done.
     """
-    if T < 1:
-        raise ConfigurationError(f"T must be >= 1, got {T}")
-    pt = kernel.p.T
-    pi = np.zeros(len(kernel.space))
-    pi[kernel.space.initial_index] = 1.0
-    for _ in range(T):
-        yield pi
-        pi = pt @ pi
-        total = pi.sum()
-        if abs(total - 1.0) > OCCUPANCY_TOL:
-            pi = pi / total
+    n = p.shape[0]
+
+    def run(a: int, b: int, x, out, add) -> None:
+        y = out[a:b]
+        y.fill(0.0)
+        _csr_matvec(b - a, n, p.indptr[a : b + 1], p.indices, p.data, x, y)
+        if add is not None:
+            y += add[a:b]
+
+    if p.nnz < SPLIT_MIN_NNZ:
+        yield lambda x, out, add=None: run(0, n, x, out, add)
+        return
+    cut = int(np.searchsorted(p.indptr, p.nnz // 2))
+    go, done = threading.Semaphore(0), threading.Semaphore(0)
+    job: list = []  # the worker's (x, out, add) for this step; empty to stop
+    failed: list = []
+
+    def serve() -> None:
+        while True:
+            go.acquire()
+            args = tuple(job)
+            if not args:
+                return
+            try:
+                run(cut, n, *args)
+            except BaseException as exc:  # raised by the calling thread
+                failed.append(exc)
+            done.release()
+
+    def product(x, out, add=None) -> None:
+        job[:] = (x, out, add)
+        go.release()
+        run(0, cut, x, out, add)
+        done.acquire()
+        if failed:
+            raise failed.pop()
+
+    worker = threading.Thread(target=serve, name="cusketch-matvec", daemon=True)
+    worker.start()
+    try:
+        yield product
+    finally:
+        job.clear()  # a worker still in its part finds the stop after it
+        go.release()
+        worker.join()
 
 
 def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
@@ -83,27 +132,17 @@ def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
     after j steps of h <- r + P h from h = r, h = sum_{t<=j} P^t r, so after
     T - 1 steps h[start] / T is the bound. P is read row by row, so no P^T
     is formed, and with P and r nonnegative no renormalization is needed.
+    The steps alternate between two N-vectors, and each product is split
+    over two threads on a large P (`_products`).
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
-    return _backward_sum(kernel, T)
-
-
-def _backward_sum(
-    kernel: TransitionKernel, T: int, stop: threading.Event | None = None
-) -> float | None:
-    """`expected_error_from_kernel` for T >= 1; None once `stop` is set.
-
-    `stop` is read before each step, so another thread can end the sum
-    within one mat-vec.
-    """
-    p, r = kernel.p, kernel.r
-    h = r.copy()
-    for _ in range(T - 1):
-        if stop is not None and stop.is_set():
-            return None
-        h = p @ h
-        h += r
+    r = kernel.r
+    h, nxt = r.copy(), np.empty_like(r)
+    with _products(kernel.p) as product:
+        for _ in range(T - 1):
+            product(h, nxt, r)
+            h, nxt = nxt, h
     return float(h[kernel.space.initial_index]) / T
 
 
@@ -210,17 +249,20 @@ def _poisson_solve(
     The residual is updated by recursion, which drifts from the true one,
     so a solve that met tol may still leave a wide interval. The returned h
     may be anything, NaN included, as only its interval is trusted. The
-    mat-vec reads P row by row. Inner products use `np.einsum`, not BLAS:
+    mat-vec reads P row by row, split over two threads on a large P
+    (`_products`). Inner products use `np.einsum`, not BLAS:
     OpenBLAS splits a dot product of over 10,000 entries across two
     threads, and with the second core busy that made `bicgstab`'s m=50, d=4,
     g=3 LB solve take 1-6 s instead of 0.1 s. BiCGSTAB on the transposed
     system for pi breaks down on many chains with d <= 3.
     """
-    p, r = kernel.p, kernel.r
+    r = kernel.r
     tiny = np.finfo(float).eps ** 2  # `bicgstab`'s breakdown threshold
 
     def a(x: np.ndarray) -> np.ndarray:
-        y = x - p @ x
+        y = np.empty_like(x)
+        product(x, y)
+        np.subtract(x, y, out=y)
         y += x[0]
         return y
 
@@ -230,7 +272,7 @@ def _poisson_solve(
     direction, v = np.zeros_like(r), np.zeros_like(r)
     rho_prev = alpha = omega = 1.0
     stop = (tol / 4) ** 2
-    with np.errstate(all="ignore"):
+    with _products(kernel.p) as product, np.errstate(all="ignore"):
         if h is None:
             h, res = np.zeros_like(r), r.copy()
         else:
@@ -271,7 +313,8 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     Stability of Numerical Algorithms, 2002, sec. 3.1). It is then
     intersected with [min r, max r], which holds pi.r too, so a non-finite
     or useless h gives that interval. The closer h is to the Poisson
-    solution, the narrower the interval.
+    solution, the narrower the interval. The two products with P are split
+    over two threads on a large P (`_products`).
     """
     p, r = kernel.p, kernel.r
     lo, hi = float(r.min()), float(r.max())
@@ -281,9 +324,12 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     u = float(np.finfo(float).eps) / 2
     gamma = k * u / (1 - k * u)
     abs_h = np.abs(h)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = r + p @ h - h
-        slack = gamma * float((r + p @ abs_h + abs_h).max())
+    ph = np.empty_like(r)
+    with _products(p) as product, np.errstate(over="ignore", invalid="ignore"):
+        product(h, ph)
+        e = r + ph - h
+        product(abs_h, ph)
+        slack = gamma * float((r + ph + abs_h).max())
         e_lo, e_hi = float(e.min()) - slack, float(e.max()) + slack
     # `>` and `<` are False for a NaN bound, which then leaves [min r, max r]
     return (e_lo if e_lo > lo else lo), (e_hi if e_hi < hi else hi)
@@ -317,12 +363,8 @@ def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
 class ChainValue(NamedTuple):
     """One chain's bound, its event count and the wall time spent on it.
 
-    `seconds` is the wall time of the chain's own kernel and evaluation.
-    When `chain_values` evaluates LB and UB at a finite horizon, LB's
-    seconds cover the one event pass both share and LB's sum, and UB's
-    cover re-targeting a copy of LB's kernel and UB's sum, which runs while
-    LB's does, so the two overlap. In the long-run mode UB's seconds start
-    after LB's value.
+    `seconds` is the wall time of the chain's own build, or of its
+    re-targeting when it is UB's chain after LB's, and of its evaluation.
     """
 
     value: float
@@ -341,15 +383,13 @@ def chain_values(
     """Evaluate each variant's chain at horizon T, or in the limit for T=None.
 
     The horizon, tolerance and size guards run before anything is built, and
-    the state space is enumerated once for all variants. UB is never built
-    by a second event pass: its kernel is LB's, re-targeted
-    (`retarget_capped`). At a finite horizon the pair is summed at once,
-    LB on the calling thread and UB on one worker thread (`_finite_pair`);
-    the two kernels share P's values and row pointers. In the long-run mode
-    the chains are solved one after the other (`_long_run_value`), and LB's
-    kernel is re-targeted in place once its value is known, so one P is held
-    at a time. Each value is the one a chain evaluated alone gives, bit for
-    bit.
+    the state space is enumerated once for all variants. The chains are
+    evaluated one after the other (`expected_error_from_kernel`, or
+    `_long_run_value` for the limit), and UB is never built by a second
+    event pass: once LB's value is known, LB's kernel is re-targeted in
+    place (`retarget_capped`), so one P is held at a time. On a large P each
+    mat-vec is split over two threads (`_products`). Each value is the one a
+    chain evaluated alone gives, bit for bit.
     """
     return _chain_values(m, d, g, T, variants, tol)[1]
 
@@ -364,9 +404,6 @@ def _chain_values(
         raise ConfigurationError(f"T must be >= 1, got {T}")
     check_kernel_size(m, d, g)
     space = enumerate_states(m, d, g)
-    if T is not None and sorted(variants) == ["lb", "ub"]:
-        pair = _finite_pair(space, T)
-        return space, {variant: pair[variant] for variant in variants}
     chains = {}
     kernel = None
     for variant in variants:
@@ -382,52 +419,6 @@ def _chain_values(
             value = expected_error_from_kernel(kernel, T)
         chains[variant] = ChainValue(value, kernel.n_edges, time.perf_counter() - start)
     return space, chains
-
-
-def _finite_pair(space: StateSpace, T: int) -> dict[str, ChainValue]:
-    """LB's and UB's finite-horizon values, the two backward sums run at once.
-
-    SciPy's CSR mat-vec releases the GIL, so the two sums overlap on two
-    cores: LB's on the calling thread, UB's on one worker thread. LB's
-    kernel is built once and UB's is its re-targeted copy
-    (`retarget_copy`), which shares P's values and row pointers. The copy
-    is made before the sums start, so its temporaries never add to theirs.
-    An exception or interrupt on either thread stops the other sum within
-    one step, and the worker is joined before anything returns or
-    propagates; the worker's exception is raised here. LB's seconds count
-    its build and sum, UB's its re-targeting and sum.
-    """
-    start = time.perf_counter()
-    lb = build_kernel(space, "lb")
-    built = time.perf_counter()
-    ub = retarget_copy(lb)
-    copied = time.perf_counter()
-    stop = threading.Event()
-    ub_outcome: list = []  # UB's ChainValue, or the exception that ended the worker
-
-    def ub_sum() -> None:
-        try:
-            value = _backward_sum(ub, T, stop)
-            if value is not None:
-                seconds = time.perf_counter() - built
-                ub_outcome.append(ChainValue(value, ub.n_edges, seconds))
-        except BaseException as exc:  # re-raised by the calling thread
-            stop.set()
-            ub_outcome.append(exc)
-
-    worker = threading.Thread(target=ub_sum, name="cusketch-ub-sum", daemon=True)
-    worker.start()
-    try:
-        value = _backward_sum(lb, T, stop)
-        lb_seconds = (built - start) + (time.perf_counter() - copied)
-        worker.join()
-    except BaseException:
-        stop.set()  # UB's sum ends at its next step
-        worker.join()
-        raise
-    if isinstance(ub_outcome[0], BaseException):
-        raise ub_outcome[0]
-    return {"lb": ChainValue(value, lb.n_edges, lb_seconds), "ub": ub_outcome[0]}
 
 
 def expected_error(m: int, d: int, g: int, T: int, variant: str) -> float:

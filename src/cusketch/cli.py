@@ -220,7 +220,7 @@ def _cmd_table1(args):
     if args.gmax >= 4:
         print(
             "warning: on a 2-core 2.1 GHz Xeon --gmax 4 takes about 2-3 s and "
-            "--gmax 5 27-31 s, with a 0.8 GB peak",
+            "--gmax 5 29-34 s, with a 0.6 GB peak",
             file=sys.stderr,
         )
     rows = []
@@ -246,7 +246,7 @@ def _cmd_table1(args):
         )
         print(
             f"g={g}  lower={lb.value:.5f}  upper={ub.value:.5f}  "
-            f"({time.perf_counter() - start:.2f} s)",  # the chains' seconds overlap
+            f"({time.perf_counter() - start:.2f} s)",
             file=sys.stderr,
         )
     return {"m": 50, "d": 4, "t": 250, "gmax": args.gmax}, {"rows": rows}

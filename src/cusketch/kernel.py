@@ -7,7 +7,10 @@ depends only on the current state, and beta is the conditional probability
 that an absent item's estimate grows by one during the transition. The
 event pass, `_event_pass`, is the one derivation of targets, probabilities
 and betas; the test suite checks every row of P and r it yields, on small
-chains, against the sketch's update rule applied to each d-subset.
+chains, against the sketch's update rule applied to each d-subset. The pass
+reads one block of rows of the state space at a time and ranks targets in
+the whole space, so the build, UB's re-targeting and the dump go block by
+block: beyond P and r, only the dump holds an N-sized array, its row sums.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,20 +33,9 @@ ROW_SUM_TOL = 1e-12
 KERNEL_BYTES_GUARD = 2 * 2**30
 # Bytes per stored edge of P: a float64 probability and an int32 index.
 BYTES_PER_EDGE = 12
-# Each event's sources are handled in blocks of at most this many, so a
-# large chain keeps each block's temporaries small enough to stay in cache.
+# States are read in blocks of at most this many rows, so every temporary of
+# a build, a re-targeting or a dump is block-sized, not N-sized.
 _BLOCK_ROWS = 1 << 14
-
-
-class Edges(NamedTuple):
-    """Per-edge arrays of a kernel, one entry per (state, event) pair."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    v: np.ndarray
-    c: np.ndarray
-    p: np.ndarray
-    beta: np.ndarray
 
 
 @dataclass
@@ -55,13 +47,9 @@ class TransitionKernel:
     arrays. `r` is the per-state expected error increment, the row sums of P
     element-wise B. `n_edges` counts (state, event) pairs and is read off
     P: distinct events of a state reach distinct targets, so each edge is
-    one stored nonzero. `edges()` re-derives the per-event edge list from
-    the full event pass of `variant`; each edge is one event (v, c) of one
-    source state. A UB kernel is an LB kernel re-targeted (`retarget_capped`
-    in place, or `retarget_copy` beside it), so its P and r hold the same
-    bits that pass gives. The re-targeting is the only work UB adds to LB's
-    build. A re-targeted copy shares P's values and row pointers with the
-    LB kernel it came from, so two kernels may hold one P's `data`.
+    one stored nonzero. A UB kernel is an LB kernel re-targeted in place
+    (`retarget_capped`), so its P and r hold the bits UB's own event pass
+    gives, and the re-targeting is the only work UB adds to LB's build.
     """
 
     space: StateSpace
@@ -79,14 +67,6 @@ class TransitionKernel:
     def expected_increment(self) -> np.ndarray:
         """Per-state expected error increment: row sums of P element-wise B."""
         return self.r
-
-    def edges(self) -> Edges:
-        """Every edge in event order: (v, c) ascending, then source state."""
-        v, c, src, dst, p, beta = zip(*_event_pass(self.space, self.variant))
-        sizes = [len(rows) for rows in src]
-        v, c = (np.repeat(np.array(x, dtype=np.int32), sizes) for x in (v, c))
-        src, dst, p, beta = map(np.concatenate, (src, dst, p, beta))
-        return Edges(src, dst, v, c, p, beta)
 
 
 def _comb_table(nmax: int, rmax: int) -> np.ndarray:
@@ -118,14 +98,19 @@ def check_kernel_size(m: int, d: int, g: int) -> None:
         )
 
 
-def _levels_above(space: StateSpace):
-    """Yield (v, k_v, sum_{l > v} k_l) over all states, for each level v."""
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each run of at most _BLOCK_ROWS of n states, in order."""
+    return [(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+
+
+def _levels_above(block: np.ndarray, m: int):
+    """Yield (v, k_v, sum_{l > v} k_l) over a block of states, for each level v."""
     # sum_{l <= v} k_l; int32 holds m for every chain the size guard admits
-    below = np.zeros(len(space), dtype=np.int32)
-    for v in range(space.g + 1):
-        kv = space.states[:, v]
+    below = np.zeros(len(block), dtype=np.int32)
+    for v in range(block.shape[1]):
+        kv = block[:, v]
         below += kv
-        yield v, kv, space.m - below
+        yield v, kv, m - below
 
 
 def _live(kv: np.ndarray, above: np.ndarray, c: int, d: int) -> np.ndarray:
@@ -143,63 +128,74 @@ def _check_variant(variant: str) -> None:
         raise ConfigurationError(f"variant must be 'lb' or 'ub', got {variant!r}")
 
 
-def _event_pass(space: StateSpace, variant: str, capped_only: bool = False):
-    """Yield (v, c, src, dst, p, beta) per event (v, c) and block of sources.
+def _event_pass(
+    space: StateSpace,
+    variant: str,
+    start: int = 0,
+    stop: int | None = None,
+    event: tuple[int, int] | None = None,
+):
+    """Yield (v, c, rows, dst, p, beta) per event (v, c) of the states [start, stop).
 
-    The one place an edge is made, ranked and checked. One rule makes every
-    target: lift c counters from level v to v + 1 (UB's capped event also
-    lifts all of level 0), then shift a row whose level 0 is empty down one
-    level. LB's capped event alone is the frozen self-loop, with beta = 0.
-    Events come in (v, c) ascending order, each event's live sources in
-    ascending blocks of at most _BLOCK_ROWS. The pass aborts on a target
-    outside the state space (rank -1), on a beta outside [0, 1], and, after
-    the last block, on a source whose event probabilities do not sum to 1
-    within ROW_SUM_TOL. With `capped_only` it yields the capped event (g, d)
-    alone, the last in pass order, and skips the row-sum check, which needs
-    every event, and the N-sized sums that check reads.
+    The one place an edge is made, ranked and checked. The block is a view
+    of `space.states`; `rows` are its live sources, as indices local to the
+    block, and `dst` their targets, ranked in the whole space. One rule
+    makes every target: lift c counters from level v to v + 1 (UB's capped
+    event also lifts all of level 0), then shift a row whose level 0 is
+    empty down one level. LB's capped event alone is the frozen self-loop,
+    with beta = 0. Events come in (v, c) ascending order. The pass aborts on
+    a target outside the state space (rank -1), on a beta outside [0, 1],
+    and, after the last event, on a source of the block whose event
+    probabilities do not sum to 1 within ROW_SUM_TOL. With `event` it
+    yields that event alone and skips the row-sum check, which needs every
+    event. Every temporary is block-sized.
     """
     _check_variant(variant)
     m, d, g = space.m, space.d, space.g
+    block = space.states[start:stop]
     comb = _comb_table(m, d)
     denom = float(math.comb(m, d))
-    row_sums = None if capped_only else np.zeros(len(space))
-    for v, kv, above in _levels_above(space):
+    row_sums = None if event is not None else np.zeros(len(block))
+    for v, kv, above in _levels_above(block, m):
         for c in range(1, d + 1):
-            capped = v == g and c == d
-            if capped_only and not capped:
+            if event is not None and event != (v, c):
                 continue
-            live = np.flatnonzero(_live(kv, above, c, d))
-            for start in range(0, len(live), _BLOCK_ROWS):
-                rows = live[start : start + _BLOCK_ROWS]
-                above_r = above[rows]
-                p = comb[kv[rows], c] * comb[above_r, d - c] / denom
-                beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
+            capped = v == g and c == d
+            rows = np.flatnonzero(_live(kv, above, c, d))
+            if not len(rows):
+                continue
+            above_r = above[rows]
+            p = comb[kv[rows], c] * comb[above_r, d - c] / denom
+            beta = (comb[above_r + c, d] - comb[above_r, d]) / denom
 
-                k = np.zeros((g + 2, len(rows)), dtype=np.int64)  # levels x sources
-                k[:-1] = space.states.T.take(rows, axis=1)  # widened from the states' dtype
-                if capped and variant == "lb":
-                    beta = np.zeros(len(rows))  # frozen: self-loop, no error growth
-                else:
-                    if capped:  # the d maxima are boosted, and every minimum with them
-                        beta = (1 + denom - comb[m - k[0], d]) / denom
-                        k[1], k[0] = k[0] + k[1], 0
-                    k[v] -= c
-                    k[v + 1] += c
-                    empty = k[0] == 0
-                    k[:-1, empty] = k[1:, empty]
+            k = np.zeros((g + 2, len(rows)), dtype=np.int64)  # levels x sources
+            k[:-1] = block.T.take(rows, axis=1)  # widened from the states' dtype
+            if capped and variant == "lb":
+                beta = np.zeros(len(rows))  # frozen: self-loop, no error growth
+            else:
+                if capped:  # the d maxima are boosted, and every minimum with them
+                    beta = (1 + denom - comb[m - k[0], d]) / denom
+                    k[1], k[0] = k[0] + k[1], 0
+                k[v] -= c
+                k[v + 1] += c
+                empty = k[0] == 0
+                k[:-1, empty] = k[1:, empty]
 
-                dst = space.rank(k[:-1].T)  # column-major, like `states`
-                if (dst < 0).any():  # report the first row ranked -1
-                    raise InternalConsistencyError(
-                        f"transition target left the state space: {k[:-1, dst.argmin()].tolist()}"
-                    )
-                if not (beta.min() >= 0 and beta.max() <= 1):  # NaN fails too
-                    raise InternalConsistencyError("beta values escaped [0, 1]")
-                if row_sums is not None:
-                    row_sums[rows] += p
-                yield v, c, rows, dst, p, beta
-    if row_sums is None:
-        return
+            dst = space.rank(k[:-1].T)  # column-major, like `states`
+            if (dst < 0).any():  # report the first row ranked -1
+                raise InternalConsistencyError(
+                    f"transition target left the state space: {k[:-1, dst.argmin()].tolist()}"
+                )
+            if not (beta.min() >= 0 and beta.max() <= 1):  # NaN fails too
+                raise InternalConsistencyError("beta values escaped [0, 1]")
+            if row_sums is not None:
+                row_sums[rows] += p
+            yield v, c, rows, dst, p, beta
+    if row_sums is not None:
+        _check_row_sums(row_sums)
+
+
+def _check_row_sums(row_sums: np.ndarray) -> None:
     worst = float(np.abs(row_sums - 1.0).max())
     if not worst <= ROW_SUM_TOL:
         raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
@@ -211,38 +207,45 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
 
     After the size guard, which keeps every index within int32, each state's
     edges are counted and then written straight into P's CSR arrays (rows =
-    sources) at 12 B per edge. Each edge is one stored nonzero, as distinct
-    events of a state reach distinct targets: the total offset sum_l l k_l
-    changes by +c for a move that keeps level 0 occupied, c - m for the
-    all-minima move (c = k_0; 0 only at d = m, where it is the lone event),
-    d + k_0 - m <= 0 for UB's capped event and 0 for LB's frozen self-loop.
-    No two of these coincide, and two moves with equal c differ as vectors.
-    So LB's frozen self-loop is the only diagonal entry of LB's P.
+    sources) at 12 B per edge. Both passes go block by block, so the only
+    N-sized arrays are P's own and r. Each edge is one stored nonzero, as
+    distinct events of a state reach distinct targets: the total offset
+    sum_l l k_l changes by +c for a move that keeps level 0 occupied, c - m
+    for the all-minima move (c = k_0; 0 only at d = m, where it is the lone
+    event), d + k_0 - m <= 0 for UB's capped event and 0 for LB's frozen
+    self-loop. No two of these coincide, and two moves with equal c differ
+    as vectors. So LB's frozen self-loop is the only diagonal entry of LB's
+    P.
 
     UB's kernel costs LB's build plus the re-targeting. `chain_values`
-    builds only LB's and re-targets it or a copy of it, so there UB's
-    seconds count no build and LB's count the one both chains share.
+    builds only LB's and re-targets it in place, so there UB's seconds count
+    no build.
     """
     _check_variant(variant)
-    check_kernel_size(space.m, space.d, space.g)
+    m, d = space.m, space.d
+    check_kernel_size(m, d, space.g)
     n = len(space)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    for _, kv, above in _levels_above(space):
-        for c in range(1, space.d + 1):
-            indptr[1:] += _live(kv, above, c, space.d)  # each state's edge count
+    for start, stop in _blocks(n):
+        counts = indptr[start + 1 : stop + 1]  # each state's edge count
+        for _, kv, above in _levels_above(space.states[start:stop], m):
+            for c in range(1, d + 1):
+                counts += _live(kv, above, c, d)
     np.cumsum(indptr, out=indptr)
     n_edges = int(indptr[-1])
     cols = np.empty(n_edges, dtype=np.int32)
     data = np.empty(n_edges)
-    fill = indptr[:-1].copy()  # next free slot in each source's row
 
     r = np.zeros(n)
-    for _, _, rows, dst, p, beta in _event_pass(space, "lb"):
-        slots = fill[rows]
-        cols[slots] = dst
-        data[slots] = p
-        fill[rows] += 1
-        r[rows] += p * beta
+    for start, stop in _blocks(n):
+        fill = indptr[start:stop].copy()  # next free slot in each source's row
+        r_block = r[start:stop]
+        for _, _, rows, dst, p, beta in _event_pass(space, "lb", start, stop):
+            slots = fill[rows]
+            cols[slots] = dst
+            data[slots] = p
+            fill[rows] += 1
+            r_block[rows] += p * beta
     p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
     p.sort_indices()
     kernel = TransitionKernel(space=space, variant="lb", p=p, r=r)
@@ -254,17 +257,14 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
 def retarget_capped(kernel: TransitionKernel) -> None:
     """Turn LB's kernel into UB's in place, without a second P.
 
-    Only the column indices of P and r change; `retarget_copy` re-targets a
-    copy of those two and keeps LB's kernel.
-
-    The chains differ only on the capped event (g, d), with the same
-    probability p on both: LB's edge is the row's self-loop, UB's goes to
-    the lifted target with UB's beta. Each capped row has its self-loop's
-    column re-pointed to UB's target and gains p * beta in r. The capped
-    event is the last in pass order and LB adds p * 0 there, so r becomes
-    UB's bit for bit. Targets and betas come from `_event_pass` restricted
-    to the capped event, with its rank and beta checks; the row sums are
-    LB's, already checked.
+    Only the column indices of P and r change. The chains differ only on
+    the capped event (g, d), with the same probability p on both: LB's edge
+    is the row's self-loop, UB's goes to the lifted target with UB's beta.
+    Each capped row has its self-loop's column re-pointed to UB's target
+    and gains p * beta in r. The capped event is the last in pass order and
+    LB adds p * 0 there, so r becomes UB's bit for bit. Targets and betas
+    come from `_event_pass` restricted to the capped event, block by block,
+    with its rank and beta checks; the row sums are LB's, already checked.
 
     No row needs re-sorting. A capped row's state has its top level at g,
     and `StateSpace.rank` orders states by top level, then by descending
@@ -278,49 +278,48 @@ def retarget_capped(kernel: TransitionKernel) -> None:
     """
     if kernel.variant != "lb":
         raise ConfigurationError(f"only an LB kernel can be re-targeted, got {kernel.variant!r}")
-    p, r = kernel.p, kernel.r
-    for _, _, rows, dst, prob, beta in _event_pass(kernel.space, "ub", capped_only=True):
-        first = p.indptr[rows]
-        slots = first + (p.indices[first] != rows)  # after the all-minima move, if live
-        if not (p.indices[slots] == rows).all():
-            raise InternalConsistencyError("a capped row's self-loop is not where its rank puts it")
-        p.indices[slots] = dst
-        r[rows] += prob * beta
+    space, p, r = kernel.space, kernel.p, kernel.r
+    capped = (space.g, space.d)
+    for start, stop in _blocks(len(space)):
+        for _, _, rows, dst, prob, beta in _event_pass(space, "ub", start, stop, capped):
+            rows = rows + start
+            first = p.indptr[rows]
+            slots = first + (p.indices[first] != rows)  # after the all-minima move, if live
+            if not (p.indices[slots] == rows).all():
+                raise InternalConsistencyError(
+                    "a capped row's self-loop is not where its rank puts it"
+                )
+            p.indices[slots] = dst
+            r[rows] += prob * beta
     kernel.variant = "ub"
-
-
-def retarget_copy(kernel: TransitionKernel) -> TransitionKernel:
-    """UB's kernel from LB's, leaving LB's intact.
-
-    The copy shares P's values and row pointers with LB's kernel, which the
-    re-targeting leaves as they are, and holds its own column indices and r,
-    which `retarget_capped` re-targets: 4 B per edge and 8 B per state more
-    than LB's kernel alone.
-    """
-    p = kernel.p
-    p = sp.csr_matrix((p.data, p.indices.copy(), p.indptr), shape=p.shape)
-    copy = TransitionKernel(kernel.space, kernel.variant, p, kernel.r.copy())
-    retarget_capped(copy)
-    return copy
 
 
 def dump_kernel(space: StateSpace, variant: str, fh: TextIO) -> None:
     """Write a chain as JSON {m, d, g, variant, states, edges}, one block at a time.
 
-    `edges` holds [src, dst, v, c, p, beta] per edge, in `edges()` order. The
-    bytes are those of `json.dump` of the whole layout, but the memory does
-    not grow with the edge count.
+    `edges` holds [src, dst, v, c, p, beta] per edge in event order: (v, c)
+    ascending, then source state. So each event runs over every block of
+    states before the next, and the row sums are checked once all are
+    written. The bytes are those of `json.dump` of the whole layout, but the
+    memory grows only by 8 B per state, not with the edge count.
     """
     header = {"m": space.m, "d": space.d, "g": space.g, "variant": variant}
     fh.write(json.dumps(header)[:-1] + ', "states": [')
-    for start in range(0, len(space), _BLOCK_ROWS):
-        block = space.states[start : start + _BLOCK_ROWS].tolist()
-        fh.write((", " if start else "") + json.dumps(block)[1:-1])
+    blocks = _blocks(len(space))
+    for start, stop in blocks:
+        fh.write((", " if start else "") + json.dumps(space.states[start:stop].tolist())[1:-1])
     fh.write('], "edges": [')
+    row_sums = np.zeros(len(space))
     sep = ""
-    for v, c, src, dst, p, beta in _event_pass(space, variant):
-        row = f"[%d, %d, {v}, {c}, %r, %r]".__mod__  # json's text for ints and floats
-        rows = zip(src.tolist(), dst.tolist(), p.tolist(), beta.tolist())
-        fh.write(sep + ", ".join(map(row, rows)))
-        sep = ", "
+    for v in range(space.g + 1):
+        for c in range(1, space.d + 1):
+            row = f"[%d, %d, {v}, {c}, %r, %r]".__mod__  # json's text for ints and floats
+            for start, stop in blocks:
+                for _, _, src, dst, p, beta in _event_pass(space, variant, start, stop, (v, c)):
+                    src = src + start
+                    row_sums[src] += p
+                    rows = zip(src.tolist(), dst.tolist(), p.tolist(), beta.tolist())
+                    fh.write(sep + ", ".join(map(row, rows)))
+                    sep = ", "
+    _check_row_sums(row_sums)
     fh.write("]}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cusketch.bounds import asymptotic_error, expected_error, occupancy_sequence
+from cusketch.bounds import asymptotic_error, expected_error
 from cusketch.closed_form import bd_gap_tail, g1_asymptotic
 from cusketch.kernel import build_kernel
 from cusketch.simulate import (
@@ -39,6 +39,7 @@ from cusketch.simulate import (
 from cusketch.sketch import uniform_select
 from cusketch.config import SketchConfig
 from cusketch.states import enumerate_states
+from references import occupancy_sequence
 
 REFERENCE_TABLE = {
     1: (0.01860, 0.07654),

@@ -1,4 +1,5 @@
 import signal
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -16,13 +17,13 @@ from cusketch.bounds import (
     expected_error,
     expected_error_from_kernel,
     long_run_interval,
-    occupancy_sequence,
     stationary,
 )
 from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from cusketch.kernel import build_kernel, retarget_capped, retarget_copy
+from cusketch.kernel import build_kernel, retarget_capped
 from cusketch.simulate import brute_force_expected_error, exact_errors
 from cusketch.states import enumerate_states
+from references import occupancy_sequence
 
 
 @pytest.fixture(scope="module")
@@ -295,8 +296,8 @@ class TestAsymptotic:
 
     @pytest.fixture(scope="class")
     def g3_kernels(self):
-        lb = build_kernel(enumerate_states(50, 4, 3), "lb")
-        return {"lb": lb, "ub": retarget_copy(lb)}
+        space = enumerate_states(50, 4, 3)
+        return {variant: build_kernel(space, variant) for variant in ("lb", "ub")}
 
     @pytest.fixture
     def intervals(self, monkeypatch):
@@ -470,8 +471,7 @@ class TestComputeBounds:
     @pytest.mark.parametrize("T", [40, None])
     def test_one_kernel_alive_at_a_time(self, kernel_refs, T):
         chain_values(6, 2, 2, T)
-        # one build: UB's kernel is LB's re-targeted, in place for the limit
-        # and as a copy that shares P's values at a finite horizon
+        # one build: UB's kernel is LB's, re-targeted in place
         assert len(kernel_refs) == 1
         assert all(ref() is None for ref in kernel_refs)
 
@@ -495,7 +495,8 @@ class TestComputeBounds:
 
 
 class TestConcurrentPair:
-    """At a finite horizon, LB's and UB's backward sums run on two threads."""
+    """LB's and UB's sums run one after the other on one P, each mat-vec
+    split by rows over two threads once P has SPLIT_MIN_NNZ nonzeros."""
 
     @pytest.mark.parametrize("m,d,g,T", [
         (6, 2, 2, 40), (6, 3, 2, 5), (4, 2, 1, 8), (5, 3, 3, 6), (9, 3, 3, 20),
@@ -510,50 +511,80 @@ class TestConcurrentPair:
             assert chain.value == expected_error_from_kernel(kernel, T)  # bit for bit
             assert chain.n_edges == kernel.n_edges
 
-    def test_kernels_share_values_and_row_pointers(self, monkeypatch):
-        kernels = []
-        for name in ("build_kernel", "retarget_copy"):
-            real = getattr(cusketch.bounds, name)
+    @pytest.mark.parametrize("T", [250, None])
+    def test_split_products_change_no_bit(self, monkeypatch, T):
+        alone = [chain.value for chain in chain_values(50, 4, 3, T).values()]
+        monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", 0)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as it goes
+        try:
+            split = [chain.value for chain in chain_values(50, 4, 3, T).values()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert split == alone
+        assert threading.active_count() == threads
 
-            def kept(*args, real=real):
-                kernels.append(real(*args))
-                return kernels[-1]
+    @pytest.mark.parametrize("m,d,g", [(5, 5, 1), (3, 2, 1), (6, 2, 2), (9, 3, 3)])
+    def test_split_product_is_the_sparse_product(self, monkeypatch, m, d, g):
+        # (5, 5, 1) has one nonzero, so the calling thread's part is empty
+        monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", 0)
+        kernel = build_kernel(enumerate_states(m, d, g), "ub")
+        x = np.random.Generator(np.random.PCG64(3)).random(len(kernel.r))
+        out = np.full_like(x, np.nan)
+        with cusketch.bounds._products(kernel.p) as product:
+            product(x, out)
+            assert out.tobytes() == (kernel.p @ x).tobytes()
+            product(x, out, kernel.r)
+            want = kernel.p @ x
+            want += kernel.r
+            assert out.tobytes() == want.tobytes()
 
-            monkeypatch.setattr(cusketch.bounds, name, kept)
+    def test_ub_kernel_is_lbs_retargeted_in_place(self, monkeypatch):
+        built, retargeted = [], []
+        build, retarget = cusketch.bounds.build_kernel, cusketch.bounds.retarget_capped
+
+        def kept(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def recorded(kernel):
+            arrays = (kernel.p, kernel.p.data, kernel.p.indices, kernel.p.indptr, kernel.r)
+            retarget(kernel)
+            retargeted.append((kernel, arrays))
+
+        monkeypatch.setattr(cusketch.bounds, "build_kernel", kept)
+        monkeypatch.setattr(cusketch.bounds, "retarget_capped", recorded)
         chain_values(9, 3, 3, 20)
-        lb, ub = kernels
-        assert (lb.variant, ub.variant) == ("lb", "ub")
-        assert np.shares_memory(lb.p.data, ub.p.data)
-        assert np.shares_memory(lb.p.indptr, ub.p.indptr)
-        assert not np.shares_memory(lb.p.indices, ub.p.indices)
-        assert not np.shares_memory(lb.r, ub.r)
-        space = enumerate_states(9, 3, 3)
-        for kernel, variant in ((lb, "lb"), (ub, "ub")):  # LB's kernel is left as built
-            alone = build_kernel(space, variant)
-            for got, want in zip(
-                (kernel.p.data, kernel.p.indices, kernel.p.indptr, kernel.r),
-                (alone.p.data, alone.p.indices, alone.p.indptr, alone.r),
-            ):
-                assert np.array_equal(got, want)
+        [kernel] = built
+        [(same, arrays)] = retargeted
+        assert same is kernel and kernel.variant == "ub"
+        now = (kernel.p, kernel.p.data, kernel.p.indices, kernel.p.indptr, kernel.r)
+        assert all(before is after for before, after in zip(arrays, now))
+        alone = build_kernel(enumerate_states(9, 3, 3), "ub")
+        for got, want in zip(now[1:], (alone.p.data, alone.p.indices, alone.p.indptr, alone.r)):
+            assert np.array_equal(got, want)
 
     def test_ub_fault_raised_with_its_type_and_message(self, monkeypatch):
-        backward_sum = cusketch.bounds._backward_sum
+        # a fault in the worker's part of UB's first product
+        monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", 0)
+        matvec = cusketch.bounds._csr_matvec
 
-        def faulty(kernel, T, stop=None):
-            if kernel.variant == "ub":
+        def faulty(*args):
+            if threading.current_thread() is not threading.main_thread():
                 raise ZeroDivisionError("fault in UB's sum")
-            return backward_sum(kernel, T, stop)
+            matvec(*args)
 
-        monkeypatch.setattr(cusketch.bounds, "_backward_sum", faulty)
+        monkeypatch.setattr(cusketch.bounds, "_csr_matvec", faulty)
         threads = threading.active_count()
         began = time.perf_counter()
-        # LB alone would take 10^7 steps, over a minute; the fault stops it
+        # UB alone would take 10^7 steps, over a minute; the fault stops it
         with pytest.raises(ZeroDivisionError, match="^fault in UB's sum$"):
-            chain_values(6, 2, 2, 10**7)
+            chain_values(6, 2, 2, 10**7, ("ub",))
         assert time.perf_counter() - began < 10
         assert threading.active_count() == threads
 
-    def test_only_a_finite_horizon_pair_starts_a_thread(self, monkeypatch):
+    def test_only_a_split_product_starts_a_thread(self, monkeypatch):
         started = []
 
         class Recorded(threading.Thread):
@@ -564,19 +595,28 @@ class TestConcurrentPair:
         monkeypatch.setattr(threading, "Thread", Recorded)
         threads = threading.active_count()
         chain_values(6, 2, 2, None)
+        chain_values(6, 2, 2, 40)
         chain_values(6, 2, 2, 40, ("ub",))
         expected_error(6, 2, 2, 40, "lb")
         asymptotic_error(6, 2, 2, "ub")
-        assert started == []  # the long-run mode and single chains stay on this thread
+        assert started == []  # a small P's products stay on this thread
+        nnz = build_kernel(enumerate_states(6, 2, 2), "lb").n_edges
+        monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", nnz + 1)
         chain_values(6, 2, 2, 40)
-        assert len(started) == 1
+        assert started == []
+        monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", nnz)
+        chain_values(6, 2, 2, 40)
+        assert started == ["cusketch-matvec"] * 2  # one worker for each chain's sum
         assert list(chain_values(6, 2, 2, 40, ("ub", "lb"))) == ["ub", "lb"]
-        assert len(started) == 2
+        assert len(started) == 4
+        started.clear()
+        asymptotic_error(6, 2, 2, "lb")
+        assert len(started) == 2  # the Poisson solve's worker and the interval's
         assert threading.active_count() == threads
 
-    def test_interrupt_returns_within_steps(self):
-        # an interrupt lands in LB's sum on this thread; UB's sum on the
-        # worker must stop at its next step rather than run to T
+    def test_interrupt_returns_within_steps(self, monkeypatch):
+        # an interrupt lands in LB's sum on this thread, which must return
+        # within a step, also when each step's second part runs on a worker
         m, d, g = 50, 4, 3
         kernel = build_kernel(enumerate_states(m, d, g), "ub")
         h = kernel.r.copy()
@@ -585,25 +625,27 @@ class TestConcurrentPair:
             h = kernel.p @ h
         step = (time.perf_counter() - began) / 20
         T = 10**6  # minutes per chain
-        interrupted = []
-
-        def interrupt(signum, frame):
-            interrupted.append(time.perf_counter())
-            raise KeyboardInterrupt
-
         threads = threading.active_count()
-        previous = signal.signal(signal.SIGALRM, interrupt)
-        try:
-            signal.setitimer(signal.ITIMER_REAL, 0.5)
-            with pytest.raises(KeyboardInterrupt):
-                chain_values(m, d, g, T)
-            returned = time.perf_counter()
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        assert len(interrupted) == 1
-        assert returned - interrupted[0] < 0.2 + 20 * step
-        assert threading.active_count() == threads
+        for split_min in (cusketch.bounds.SPLIT_MIN_NNZ, 0):
+            monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", split_min)
+            interrupted = []
+
+            def interrupt(signum, frame):
+                interrupted.append(time.perf_counter())
+                raise KeyboardInterrupt
+
+            previous = signal.signal(signal.SIGALRM, interrupt)
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0.5)
+                with pytest.raises(KeyboardInterrupt):
+                    chain_values(m, d, g, T)
+                returned = time.perf_counter()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
+            assert len(interrupted) == 1
+            assert returned - interrupted[0] < 0.2 + 20 * step
+            assert threading.active_count() == threads
 
 
 class TestChainValues:

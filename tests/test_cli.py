@@ -496,7 +496,7 @@ class TestVerify:
     def test_unretargeted_ub_fails_the_oracle_check_where_the_cap_binds(self, capsys, monkeypatch):
         # UB's chain left as LB's agrees with CU wherever g = T, so only the
         # binding-cap comparison with the exact walk can catch it
-        monkeypatch.setattr(cusketch.bounds, "retarget_copy", lambda kernel: kernel)
+        monkeypatch.setattr(cusketch.bounds, "retarget_capped", lambda kernel: None)
         rc, out, err = run(capsys, "verify", "--level", "quick")
         assert rc == EXIT_VERIFY_FAILED
         assert out.splitlines()[:3] == [
