@@ -17,7 +17,8 @@ fallback imports `scipy.sparse.linalg`.
 
 Every product with P outside that fallback goes through `_products`: on a P
 of at least SPLIT_MIN_NNZ nonzeros it splits the rows into two parts of equal
-nonzero count, one per core, and either way it gives the bits of `p @ x`.
+nonzero count, one for the calling thread and one for a one-thread pool, and
+either way it gives the bits of `p @ x`.
 
 `chain_values` is the one entry point: it guards, builds and evaluates each
 chain, one after the other, and returns its value, edge count and seconds;
@@ -29,8 +30,8 @@ views, one chain's value each.
 from __future__ import annotations
 
 import math
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -71,12 +72,12 @@ def _products(p) -> Iterator[Callable[..., None]]:
     `csr_matvec` sums each row into a zeroed entry in stored order, so
     splitting the rows changes no sum. From SPLIT_MIN_NNZ nonzeros on, the
     rows are cut where half of P's nonzeros lie on each side (Williams et
-    al., SC'07). The calling thread computes the first part and one worker
-    thread, started here and joined on exit, the second; one semaphore
-    hands the worker each product and another hands it back. `csr_matvec`
-    releases the GIL, so the two parts run on two cores at once. A fault in
-    the worker's part is raised by the product; an interrupt or fault on
-    the calling thread stops the worker once its current part is done.
+    al., SC'07). The calling thread computes the first part and a one-thread
+    pool, shut down on exit, the second. `csr_matvec` releases the GIL, so
+    the two parts run on two cores at once. A fault in the pool's part is
+    raised by the product with its own type and message; an interrupt or
+    fault on the calling thread leaves the pool, whose shutdown joins its
+    thread once its current part is done.
     """
     n = p.shape[0]
 
@@ -91,38 +92,12 @@ def _products(p) -> Iterator[Callable[..., None]]:
         yield lambda x, out, add=None: run(0, n, x, out, add)
         return
     cut = int(np.searchsorted(p.indptr, p.nnz // 2))
-    go, done = threading.Semaphore(0), threading.Semaphore(0)
-    job: list = []  # the worker's (x, out, add) for this step; empty to stop
-    failed: list = []
-
-    def serve() -> None:
-        while True:
-            go.acquire()
-            args = tuple(job)
-            if not args:
-                return
-            try:
-                run(cut, n, *args)
-            except BaseException as exc:  # raised by the calling thread
-                failed.append(exc)
-            done.release()
-
-    def product(x, out, add=None) -> None:
-        job[:] = (x, out, add)
-        go.release()
-        run(0, cut, x, out, add)
-        done.acquire()
-        if failed:
-            raise failed.pop()
-
-    worker = threading.Thread(target=serve, name="cusketch-matvec", daemon=True)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="cusketch-matvec") as pool:
+        def product(x, out, add=None) -> None:
+            second = pool.submit(run, cut, n, x, out, add)
+            run(0, cut, x, out, add)
+            second.result()
         yield product
-    finally:
-        job.clear()  # a worker still in its part finds the stop after it
-        go.release()
-        worker.join()
 
 
 def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:

@@ -134,10 +134,8 @@ def _dump_whole(space, variant: str, path: str) -> None:
 
 def _cmd_bounds(args):
     variants = _variants(args)
-    if args.dump_kernel:  # the dumps reuse the state space the chains were built on
-        space, chains = _chain_values(args.m, args.d, args.g, args.t, variants)
-    else:
-        chains = chain_values(args.m, args.d, args.g, args.t, variants)
+    # the dumps reuse the state space the chains were built on
+    space, chains = _chain_values(args.m, args.d, args.g, args.t, variants)
     results: dict = {"n_states": state_space_size(args.m, args.d, args.g)}
     for variant, chain in chains.items():
         results[_bound_key(variant)] = chain.value

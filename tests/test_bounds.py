@@ -426,8 +426,9 @@ class TestAsymptotic:
         assert finite == pytest.approx(limit, abs=1e-2)
 
 
-class TestComputeBounds:
-    """Both chains at once, as `table1` and `bounds` evaluate them through `chain_values`."""
+class TestChainValues:
+    """`chain_values`, the one entry point, with both chains as `table1` and
+    `bounds` ask for them, and its two one-chain views."""
 
     # (lower, upper) at m=50, d=4, T=250, recorded before the kernel stored
     # only P^T and r; the rewrite must reproduce them to summation order.
@@ -455,6 +456,15 @@ class TestComputeBounds:
             asymptotic_error(50, 4, 6, "lb")
         with pytest.raises(ConfigurationError, match="guard"):
             expected_error(50, 4, 6, 10, "ub")
+
+    def test_views_agree_with_the_single_entry_point(self):
+        chains = chain_values(6, 2, 2, 40)
+        assert list(chains) == ["lb", "ub"]
+        space = enumerate_states(6, 2, 2)
+        for variant, chain in chains.items():
+            assert chain.value == expected_error(6, 2, 2, 40, variant)
+            assert chain.n_edges == build_kernel(space, variant).n_edges
+            assert chain.seconds >= 0
 
     def test_returns_ordered_pair_with_timings(self):
         chains = chain_values(6, 2, 2, 40)
@@ -494,9 +504,10 @@ class TestComputeBounds:
         assert [events == {(g, d)} for events in passes].count(False) == 1
 
 
-class TestConcurrentPair:
-    """LB's and UB's sums run one after the other on one P, each mat-vec
-    split by rows over two threads once P has SPLIT_MIN_NNZ nonzeros."""
+class TestSplitProducts:
+    """Once P has SPLIT_MIN_NNZ nonzeros, `_products` splits each mat-vec by
+    rows between the calling thread and a one-thread pool; LB's and UB's
+    sums run one after the other on one P, and neither changes a bit."""
 
     @pytest.mark.parametrize("m,d,g,T", [
         (6, 2, 2, 40), (6, 3, 2, 5), (4, 2, 1, 8), (5, 3, 3, 6), (9, 3, 3, 20),
@@ -565,14 +576,20 @@ class TestConcurrentPair:
         for got, want in zip(now[1:], (alone.p.data, alone.p.indices, alone.p.indptr, alone.r)):
             assert np.array_equal(got, want)
 
-    def test_ub_fault_raised_with_its_type_and_message(self, monkeypatch):
-        # a fault in the worker's part of UB's first product
+    @pytest.mark.parametrize("faulty_part", ["pool", "caller"])
+    def test_ub_fault_raised_with_its_type_and_message(self, monkeypatch, faulty_part):
+        # a fault in one part of UB's first product, raised once the other
+        # part is in flight
         monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", 0)
         matvec = cusketch.bounds._csr_matvec
+        in_flight = threading.Event()
 
         def faulty(*args):
-            if threading.current_thread() is not threading.main_thread():
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (faulty_part == "caller"):
+                in_flight.wait(10)
                 raise ZeroDivisionError("fault in UB's sum")
+            in_flight.set()
             matvec(*args)
 
         monkeypatch.setattr(cusketch.bounds, "_csr_matvec", faulty)
@@ -606,17 +623,17 @@ class TestConcurrentPair:
         assert started == []
         monkeypatch.setattr(cusketch.bounds, "SPLIT_MIN_NNZ", nnz)
         chain_values(6, 2, 2, 40)
-        assert started == ["cusketch-matvec"] * 2  # one worker for each chain's sum
+        assert started == ["cusketch-matvec_0"] * 2  # one pool for each chain's sum
         assert list(chain_values(6, 2, 2, 40, ("ub", "lb"))) == ["ub", "lb"]
         assert len(started) == 4
         started.clear()
         asymptotic_error(6, 2, 2, "lb")
-        assert len(started) == 2  # the Poisson solve's worker and the interval's
+        assert len(started) == 2  # the Poisson solve's pool and the interval's
         assert threading.active_count() == threads
 
     def test_interrupt_returns_within_steps(self, monkeypatch):
         # an interrupt lands in LB's sum on this thread, which must return
-        # within a step, also when each step's second part runs on a worker
+        # within a step, also when each step's second part runs on the pool
         m, d, g = 50, 4, 3
         kernel = build_kernel(enumerate_states(m, d, g), "ub")
         h = kernel.r.copy()
@@ -646,14 +663,3 @@ class TestConcurrentPair:
             assert len(interrupted) == 1
             assert returned - interrupted[0] < 0.2 + 20 * step
             assert threading.active_count() == threads
-
-
-class TestChainValues:
-    def test_views_agree_with_the_single_entry_point(self):
-        chains = chain_values(6, 2, 2, 40)
-        assert list(chains) == ["lb", "ub"]
-        space = enumerate_states(6, 2, 2)
-        for variant, chain in chains.items():
-            assert chain.value == expected_error(6, 2, 2, 40, variant)
-            assert chain.n_edges == build_kernel(space, variant).n_edges
-            assert chain.seconds >= 0

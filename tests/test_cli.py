@@ -382,7 +382,7 @@ class TestTable1:
     def test_row_line_gives_the_row_wall_time(self, capsys, monkeypatch):
         import cusketch.cli as cli_mod
 
-        # the two chains' seconds overlap, so their sum is not the row's time
+        # the row line times the row itself, not the sum of the chains' seconds
         chains = {"lb": ChainValue(0.25, 7, 100.0), "ub": ChainValue(0.5, 7, 100.0)}
         monkeypatch.setattr(cli_mod, "chain_values", lambda *args: chains)
         rc, out, err = run(capsys, "table1", "--gmax", "1")
