@@ -13,10 +13,11 @@ of r + P h - h (`long_run_interval`). A solve that met tol on its recursive
 residual but left the interval wider than tol is restarted once from its
 true residual. A chain whose interval the solve cannot make tol wide falls
 back to power iteration (`stationary`) from an ARPACK start, and only that
-fallback imports `scipy.sparse.linalg`.
+fallback imports `scipy.sparse` and `scipy.sparse.linalg`.
 
-Every product with P outside that fallback goes through `_products`: on a P
-of at least SPLIT_MIN_NNZ nonzeros it splits the rows into two parts of equal
+Every product with P outside that fallback goes through `_products`, which
+calls SciPy's compiled `csr_matvec` on the kernel's CSR arrays: on a P of at
+least SPLIT_MIN_NNZ nonzeros it splits the rows into two parts of equal
 nonzero count, one for the calling thread and one for a one-thread pool, and
 either way it gives the bits of `p @ x`.
 
@@ -36,12 +37,13 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-# the CSR kernel behind SciPy's `p @ x`, here called on a range of rows
-from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import TransitionKernel, build_kernel, check_kernel_size, retarget_capped
+from .kernel import TransitionKernel, build_kernel, check_kernel_size, retarget_capped, sparsetools
 from .states import StateSpace, enumerate_states
+
+# the CSR kernel behind SciPy's `p @ x`, here called on a range of rows
+_csr_matvec = sparsetools.csr_matvec
 
 # Arnoldi basis size for the stationary start vector. 40 raised the peak RSS
 # of `asymptotic --m 50 --d 4 --g 3` from 72.2 to 76.2 MB and ran no faster.
@@ -68,7 +70,8 @@ SPLIT_MIN_NNZ = 1 << 20
 def _products(p) -> Iterator[Callable[..., None]]:
     """Yield product(x, out, add=None), which writes P x, plus add if given, into out.
 
-    Each product has the bits of `p @ x` (then `+= add`): SciPy's
+    `p` is anything with P's CSR arrays `indptr`, `indices` and `data`, such
+    as a kernel. Each product has the bits of `p @ x` (then `+= add`): SciPy's
     `csr_matvec` sums each row into a zeroed entry in stored order, so
     splitting the rows changes no sum. From SPLIT_MIN_NNZ nonzeros on, the
     rows are cut where half of P's nonzeros lie on each side (Williams et
@@ -79,19 +82,20 @@ def _products(p) -> Iterator[Callable[..., None]]:
     fault on the calling thread leaves the pool, whose shutdown joins its
     thread once its current part is done.
     """
-    n = p.shape[0]
+    indptr, indices, data = p.indptr, p.indices, p.data
+    n, nnz = len(indptr) - 1, int(indptr[-1])
 
     def run(a: int, b: int, x, out, add) -> None:
         y = out[a:b]
         y.fill(0.0)
-        _csr_matvec(b - a, n, p.indptr[a : b + 1], p.indices, p.data, x, y)
+        _csr_matvec(b - a, n, indptr[a : b + 1], indices, data, x, y)
         if add is not None:
             y += add[a:b]
 
-    if p.nnz < SPLIT_MIN_NNZ:
+    if nnz < SPLIT_MIN_NNZ:
         yield lambda x, out, add=None: run(0, n, x, out, add)
         return
-    cut = int(np.searchsorted(p.indptr, p.nnz // 2))
+    cut = int(np.searchsorted(indptr, nnz // 2))
     with ThreadPoolExecutor(1, thread_name_prefix="cusketch-matvec") as pool:
         def product(x, out, add=None) -> None:
             second = pool.submit(run, cut, n, x, out, add)
@@ -114,7 +118,7 @@ def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
         raise ConfigurationError(f"T must be >= 1, got {T}")
     r = kernel.r
     h, nxt = r.copy(), np.empty_like(r)
-    with _products(kernel.p) as product:
+    with _products(kernel) as product:
         for _ in range(T - 1):
             product(h, nxt, r)
             h, nxt = nxt, h
@@ -185,7 +189,8 @@ def _start_vector(kernel: TransitionKernel) -> np.ndarray:
     n = len(kernel.space)
     vec = None
     if n == 2:
-        vec = np.array([kernel.p[1, 0], kernel.p[0, 1]])  # (P_10, P_01)
+        p = kernel.p
+        vec = np.array([p[1, 0], p[0, 1]])  # (P_10, P_01)
     elif n > 2:
         import scipy.sparse.linalg
 
@@ -247,7 +252,7 @@ def _poisson_solve(
     direction, v = np.zeros_like(r), np.zeros_like(r)
     rho_prev = alpha = omega = 1.0
     stop = (tol / 4) ** 2
-    with _products(kernel.p) as product, np.errstate(all="ignore"):
+    with _products(kernel) as product, np.errstate(all="ignore"):
         if h is None:
             h, res = np.zeros_like(r), r.copy()
         else:
@@ -291,16 +296,16 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     solution, the narrower the interval. The two products with P are split
     over two threads on a large P (`_products`).
     """
-    p, r = kernel.p, kernel.r
+    r = kernel.r
     lo, hi = float(r.min()), float(r.max())
     if not np.isfinite(h).all():
         return lo, hi
-    k = int(np.diff(p.indptr).max()) + 2
+    k = int(np.diff(kernel.indptr).max()) + 2
     u = float(np.finfo(float).eps) / 2
     gamma = k * u / (1 - k * u)
     abs_h = np.abs(h)
     ph = np.empty_like(r)
-    with _products(p) as product, np.errstate(over="ignore", invalid="ignore"):
+    with _products(kernel) as product, np.errstate(over="ignore", invalid="ignore"):
         product(h, ph)
         e = r + ph - h
         product(abs_h, ph)

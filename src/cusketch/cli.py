@@ -32,7 +32,7 @@ import sys
 import time
 from functools import partial
 
-import numpy as np
+from numpy.random import PCG64, Generator
 
 from . import closed_form as cf
 from .bounds import _chain_values, chain_values
@@ -265,7 +265,7 @@ def _oracle_agrees(m: int, d: int, T: int) -> bool:
 
 
 def _sandwiches_hold(n: int, tmax: int) -> bool:
-    rng = np.random.Generator(np.random.PCG64(12345))
+    rng = Generator(PCG64(12345))
     cases = []
     for _ in range(n):
         m = int(rng.integers(2, 9))

@@ -15,13 +15,15 @@ block: beyond P and r, only the dump holds an N-sized array, its row sums.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, InternalConsistencyError
 from .states import StateSpace, state_space_size, validate_params
@@ -38,30 +40,74 @@ BYTES_PER_EDGE = 12
 _BLOCK_ROWS = 1 << 14
 
 
+def _load_sparsetools():
+    """SciPy's compiled sparse routines, loaded from their file alone.
+
+    The bounds need two of them, `csr_matvec` and `csr_sort_indices`.
+    Importing them through `scipy.sparse` would run its package init, which
+    loads `numpy.f2py`, `numpy.testing`, `unittest` and more: about 0.15 s
+    and 15 MB of peak RSS that every command would pay. `find_spec` locates
+    SciPy without importing it, and the extension needs only NumPy. It is
+    the same object code as `scipy.sparse`'s, so every product keeps SciPy's
+    bits.
+    """
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")
+    spec = None
+    if scipy is not None:
+        sparse = os.path.join(scipy.submodule_search_locations[0], "sparse")
+        spec = FileFinder(sparse, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"SciPy's compiled module {name} was not found", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+sparsetools = _load_sparsetools()
+
+
 @dataclass
 class TransitionKernel:
     """What the bounds read of one chain variant: P and the reward vector.
 
-    `p` is the transition matrix in CSR form, one row per source state with
-    sorted int32 column indices; `p.T` is P^T as a CSC view of the same
-    arrays. `r` is the per-state expected error increment, the row sums of P
-    element-wise B. `n_edges` counts (state, event) pairs and is read off
-    P: distinct events of a state reach distinct targets, so each edge is
-    one stored nonzero. A UB kernel is an LB kernel re-targeted in place
+    P is held as its three CSR arrays, one row per source state: `indptr`
+    (int32, N + 1 row starts), `indices` (int32 column indices, sorted
+    within each row) and `data` (float64 probabilities). `r` is the
+    per-state expected error increment, the row sums of P element-wise B.
+    `n_edges` counts (state, event) pairs and is read off `indptr`: distinct
+    events of a state reach distinct targets, so each edge is one stored
+    nonzero. A UB kernel is an LB kernel re-targeted in place
     (`retarget_capped`), so its P and r hold the bits UB's own event pass
     gives, and the re-targeting is the only work UB adds to LB's build.
     """
 
     space: StateSpace
     variant: str  # "lb" or "ub"
-    p: sp.csr_matrix
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     r: np.ndarray
 
     @property
     def n_edges(self) -> int:
-        return self.p.nnz
+        return int(self.indptr[-1])
 
-    def transition_matrix(self) -> sp.csr_matrix:
+    @property
+    def p(self):
+        """P as a `scipy.sparse.csr_matrix` over the kernel's own arrays, made on each read.
+
+        No array is copied, so a write through the view writes the kernel.
+        It is for readers off the hot path, such as the power-iteration
+        fallback, which reads P^T as `p.T`; `scipy.sparse` is imported on
+        the first read, not with the module.
+        """
+        import scipy.sparse
+
+        n = len(self.indptr) - 1
+        return scipy.sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
+
+    def transition_matrix(self):
         return self.p
 
     def expected_increment(self) -> np.ndarray:
@@ -246,9 +292,8 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
             data[slots] = p
             fill[rows] += 1
             r_block[rows] += p * beta
-    p = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-    p.sort_indices()
-    kernel = TransitionKernel(space=space, variant="lb", p=p, r=r)
+    sparsetools.csr_sort_indices(n, indptr, cols, data)
+    kernel = TransitionKernel(space, "lb", data=data, indices=cols, indptr=indptr, r=r)
     if variant == "ub":
         retarget_capped(kernel)
     return kernel
@@ -278,18 +323,18 @@ def retarget_capped(kernel: TransitionKernel) -> None:
     """
     if kernel.variant != "lb":
         raise ConfigurationError(f"only an LB kernel can be re-targeted, got {kernel.variant!r}")
-    space, p, r = kernel.space, kernel.p, kernel.r
+    space, indices, indptr, r = kernel.space, kernel.indices, kernel.indptr, kernel.r
     capped = (space.g, space.d)
     for start, stop in _blocks(len(space)):
         for _, _, rows, dst, prob, beta in _event_pass(space, "ub", start, stop, capped):
             rows = rows + start
-            first = p.indptr[rows]
-            slots = first + (p.indices[first] != rows)  # after the all-minima move, if live
-            if not (p.indices[slots] == rows).all():
+            first = indptr[rows]
+            slots = first + (indices[first] != rows)  # after the all-minima move, if live
+            if not (indices[slots] == rows).all():
                 raise InternalConsistencyError(
                     "a capped row's self-loop is not where its rank puts it"
                 )
-            p.indices[slots] = dst
+            indices[slots] = dst
             r[rows] += prob * beta
     kernel.variant = "ub"
 

@@ -39,6 +39,9 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
+# imported with the module: NumPy loads `numpy.random` lazily, and its first
+# use would otherwise add its import to the first run's time
+from numpy.random import PCG64, Generator
 
 from .config import SketchConfig
 from .errors import ConfigurationError
@@ -90,8 +93,8 @@ def mix64(seed: int, run_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def substream(seed: int, run_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(mix64(seed, run_index)))
+def substream(seed: int, run_index: int) -> Generator:
+    return Generator(PCG64(mix64(seed, run_index)))
 
 
 @dataclass(frozen=True)

@@ -538,6 +538,7 @@ class TestClosedStdout:
 _SOLVER_IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cusketch.cli import main
+sparse = ["scipy.sparse" in sys.modules]
 
 def run(argv):
     out = io.StringIO()
@@ -551,10 +552,12 @@ codes = [run(argv)[0] for argv in (
     "verify --level quick",
 )]
 loaded = ["scipy.sparse.linalg" in sys.modules]
+sparse.append("scipy.sparse" in sys.modules)
 rc, out = run("asymptotic --m 200 --d 3 --g 1 --variant lb")
 loaded.append("scipy.sparse.linalg" in sys.modules)
+sparse.append("scipy.sparse" in sys.modules)
 lower = json.loads(out)["results"]["lower"]
-print(json.dumps({"codes": codes + [rc], "loaded": loaded, "lower": lower}))
+print(json.dumps({"codes": codes + [rc], "loaded": loaded, "sparse": sparse, "lower": lower}))
 """
 
 
@@ -570,4 +573,7 @@ def test_solver_stack_loads_only_on_the_fallback():
     assert report["codes"] == [EXIT_OK] * 5
     # none of the first four commands falls back; the (200, 3, 1) LB chain does
     assert report["loaded"] == [False, True]
+    # the CSR routines come without `scipy.sparse`, which only the fallback's
+    # reads of P through `kernel.p` import
+    assert report["sparse"] == [False, False, True]
     assert report["lower"] == "0.0025625508887330852"

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import threading
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -267,6 +269,28 @@ class TestBuildKernel:
             assert transient <= 2**16 + 256 * block_rows, block_rows
             assert transient < 8 * len(space), block_rows  # one float N-vector
             del kernel, p
+
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    def test_matrix_is_a_view_of_the_kernels_arrays(self, variant):
+        kernel = build_kernel(enumerate_states(9, 3, 3), variant)
+        p = kernel.p
+        for name in ("data", "indices", "indptr"):
+            # SciPy may wrap an array in a new view object, but copies none
+            view, own = getattr(p, name), getattr(kernel, name)
+            assert view.ctypes.data == own.ctypes.data and view.shape == own.shape, name
+            assert view.dtype == own.dtype, name
+        assert p.has_canonical_format
+        assert kernel.n_edges == p.nnz
+
+    @pytest.mark.parametrize("missing", ["scipy", "extension"])
+    def test_missing_sparsetools_is_an_import_error(self, monkeypatch, missing):
+        if missing == "scipy":
+            monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        else:  # a finder over a directory without the extension
+            empty = SimpleNamespace(find_spec=lambda name: None)
+            monkeypatch.setattr(kernel_mod, "FileFinder", lambda path, *details: empty)
+        with pytest.raises(ImportError, match="scipy.sparse._sparsetools was not found"):
+            kernel_mod._load_sparsetools()
 
     def test_stores_only_matrix_and_reward(self):
         kernel = build_kernel(enumerate_states(50, 4, 2), "lb")
