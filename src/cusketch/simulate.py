@@ -4,11 +4,12 @@ Every simulated trajectory is drawn by `_draws`, in blocks of at most
 `_BLOCK_STEPS` steps, so memory stays bounded on any horizon. `_step_rows`
 picks the stepper for a block of runs: `_run_steps` advances one list of
 counters in pure Python, at about 1.2 us a step; `_run_rows` advances the
-runs together, as the rows of one (runs x m) array, one NumPy pass of about
-15 us per step whatever the row count. Both apply the same CU, LB or UB
-rule, and `_run_rows` can give each row its own rule and cap: sandwich
-traces (`sandwich_traces`) step the five chains of many cases as the rows
-of one pass and compare adjacent chains after every step. The exact
+runs together, as the columns of one (m x runs) array, one NumPy pass per
+step of 9-17 us at up to 20 runs and about 36 us at 500 (m=50, d=4). Both
+apply the same CU, LB or UB rule, and `_run_rows` can give each run its
+own rule and cap: sandwich traces (`sandwich_traces`) step the five chains
+of many cases as the columns of one pass and compare adjacent chains after
+every step. The exact
 oracle, a walk over the sorted offset tuples that CU, LB or UB reach
 (`exact_errors`), calls `_run_steps` directly.
 
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 # imported with the module: NumPy loads `numpy.random` lazily, and its first
@@ -55,21 +56,26 @@ _VARIANT_CODES = {"cu": _CU, "lb": _LB, "ub": _UB}
 # Steps drawn and decoded at a time: bounds the decoded selections' memory
 # on long trajectories while keeping NumPy's per-call cost negligible.
 _BLOCK_STEPS = 1024
-# Pool cells `_selections` decodes at a time: 8 MiB of int64. A (1024, m)
-# pool at m=200000 would take 1.6 GB.
+# Pool cells `_selections` decodes at a time, each of the smallest unsigned
+# dtype that holds m - 1: 1 MiB at m <= 256. A (1024, m) pool at m=200000
+# would take 0.8 GB.
 _DECODE_CELLS = 1 << 20
-# `_step_rows` steps fewer rows than this one by one through `_run_steps`,
-# and more together through `_run_rows`. A `_run_rows` pass has a fixed NumPy
-# cost of about 15 us, against about 1.2 us per run-step for `_run_steps`:
-# at T=250 the batched path broke even at 8-12 runs (m=50/d=4, m=10/d=9,
-# m=8/d=2) and was 35-45% faster at 16. One run of 10^5 steps took 1.42 s
-# batched against 0.29 s alone (2-core Xeon, NumPy 2.4).
+# `_step_rows` steps fewer runs than this one by one through `_run_steps`,
+# and more together through `_run_rows`. A `_run_rows` pass costs 9-17 us at
+# up to 20 runs (m=8/d=2 to m=50/d=4), against 0.6-1.3 us per run-step for
+# `_run_steps`, so stepping alone breaks even at 12-15 runs. In
+# `estimate_error`, which adds each pass's gaps to its histogram, the
+# batched path broke even at 16-20 runs at T=250 (m=50/d=4, m=10/d=9,
+# m=8/d=2) and was 15-40% faster at 24. One run of 10^5 steps at m=50/d=4
+# took 1.12 s batched against 0.09 s alone (2-core Xeon, NumPy 2.4).
 _MIN_BATCH_RUNS = 16
 # Runs stepped together by one `_run_rows` call. At m=50, d=4, T=250 and
-# 2000 runs, blocks of 32/64/128/256 took 0.45/0.34/0.31/0.27 s and raised
-# peak RSS by 1.43/1.43/1.95/3.52 MB, against 0.77 s and 1.18 MB for the
-# run-by-run loop: 64 keeps the added memory to 0.25 MB.
-_BATCH_RUNS = 64
+# 2000 runs, `estimate_error` took 0.21/0.16/0.14/0.12/0.12 s in blocks of
+# 64/128/256/512/1000 runs, with tracemalloc peaks of 0.5/0.7/1.1/2.0/3.7 MB;
+# the `simulate` command's peak RSS read 37.7/37.9/38.1/39.2/40.8 MB. The
+# run-by-run loop took 0.59 s. 512 is within 5% of 1000's time at half its
+# added memory.
+_BATCH_RUNS = 512
 # The chains a sandwich trace steps: LB(g), LB(g+1), CU, UB(g+1), UB(g).
 _CHAINS = 5
 
@@ -196,14 +202,15 @@ def _selections(u: np.ndarray, m: int) -> np.ndarray:
     arithmetic of `uniform_select`: row t gives the subset `uniform_select`
     draws from the same d doubles (unsorted). Each row needs a working pool
     of m indices, so rows are decoded at most `_DECODE_CELLS` pool cells at
-    a time, and only the (T, d) selections are kept.
+    a time, and only the (T, d) selections are kept. Indices are held in the
+    smallest unsigned dtype that holds m - 1.
     """
     T, d = u.shape
     chunk = max(1, _DECODE_CELLS // m)
     if T > chunk:
         return np.concatenate([_selections(u[i : i + chunk], m) for i in range(0, T, chunk)])
     rows = np.arange(T)
-    pool = np.tile(np.arange(m, dtype=np.int64), (T, 1))
+    pool = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (T, 1))
     for j in range(d):
         r = j + np.minimum((u[:, j] * (m - j)).astype(np.int64), m - j - 1)
         picked = pool[rows, r]
@@ -259,77 +266,89 @@ def _run_rows(
     sel: np.ndarray,
     variant: int | np.ndarray,
     g: int | np.ndarray,
-    after_step: Callable[[int], None] | None = None,
-) -> np.ndarray:
-    """Advance every row of the (R, m) counters in place; return the (R, T) gap trace.
+) -> Iterator[np.ndarray]:
+    """Advance every column of the (m, R) counters in place; yield each step's (R,) gaps.
 
-    Row i takes the selections sel[:, i] of the (T, R, d) array, one per
-    step, under the rule of `_run_steps`; each step is one NumPy pass over
-    all rows. `variant` and `g` are one code and cap for every row, or
-    arrays of R of them, so rows under different rules step together; when
-    no row is LB or UB, a step does no capped-rule work. `after_step(t)`,
-    if given, is called once the counters hold step t. The selected
-    counters are gathered and scattered through flat indices: a selection's
+    Column r takes the selections sel[:, :, r] of the (T, d, R) array, one
+    per step, under the rule of `_run_steps`; each step is one NumPy pass
+    over all columns, and its gaps are yielded, as a new array, while the
+    counters hold that step. `variant` and `g` are one code and cap for
+    every column, or arrays of R of them, so runs under different rules
+    step together; when no run is LB or UB, a step does no capped-rule work.
+    Runs lie along the last axis, so every reduction (over a selection and
+    over the counters) runs along axis 0. The selected counters are gathered
+    and scattered through the flat indices sel * R + r: a selection's
     indices are distinct, or repeat an index with the same value and
     increment, so adding the increment mask in one fancy assignment is safe.
+    The maximum needs no reduction: it moves up by one exactly when every
+    pick sits at it and is incremented; a UB lift stops below it.
     """
-    n_rows, m = values.shape
+    n_runs = values.shape[1]
     flat = values.reshape(-1)  # a view: values is C-contiguous
-    row_start = (np.arange(n_rows) * m)[:, None]
-    gaps = np.empty((len(sel), n_rows), dtype=np.int64)
-    vmin, vmax = values.min(axis=1), values.max(axis=1)
+    run = np.arange(n_runs)
+    vmin, vmax = values.min(axis=0), values.max(axis=0)
     capped = bool(np.any(np.not_equal(variant, _CU)))
     if capped:
-        cap = np.where(np.equal(variant, _CU), -1, g)  # no gap is -1: CU rows never sit at it
-        lb_rows, ub_rows = np.equal(variant, _LB), np.equal(variant, _UB)
-    for t, (step, step_sel) in enumerate(zip(gaps, sel)):
-        at = step_sel + row_start
+        cap = np.where(np.equal(variant, _CU), -1, g)  # no gap is -1: CU runs never sit at it
+        lb_runs, ub_runs = np.equal(variant, _LB), np.equal(variant, _UB)
+    for step_sel in sel:
+        at = np.multiply(step_sel, n_runs, dtype=np.intp)  # widened from the draws' dtype
+        at += run
         picked = flat[at]
-        sel_min = picked.min(axis=1)
-        inc = picked == sel_min[:, None]
+        sel_min = picked.min(axis=0)
+        inc = picked == sel_min
+        top = sel_min == vmax  # every pick sits at the maximum, which moves up by one
         if capped:
-            at_cap = (vmax - vmin == cap) & (sel_min == vmax)
-            inc[at_cap & lb_rows] = False
-            lift = at_cap & ub_rows
+            at_cap = (vmax - vmin == cap) & top
+            held = at_cap & lb_runs
+            inc &= ~held
+            top &= ~held
+            lift = at_cap & ub_runs
         flat[at] = picked + inc
-        if capped and lift.any():  # lift the minimum of the UB rows at the cap
-            lifted = values[lift]
-            lifted += lifted == vmin[lift, None]
-            values[lift] = lifted
-        values.min(axis=1, out=vmin)
-        values.max(axis=1, out=vmax)
-        np.subtract(vmax, vmin, out=step)
-        if after_step is not None:
-            after_step(t)
-    return gaps.T
+        if capped and lift.any():  # lift the minimum of the UB runs at the cap
+            lifted = values[:, lift]
+            lifted += lifted == vmin[lift]
+            values[:, lift] = lifted
+        values.min(axis=0, out=vmin)
+        vmax += top
+        yield vmax - vmin
 
 
 def _draws(seed: int, runs: range, T: int, m: int, d: int) -> Iterator[np.ndarray]:
-    """The T selections of each run, in (steps, runs, d) blocks of at most _BLOCK_STEPS steps.
+    """The T selections of each run, in (steps, d, runs) blocks of at most _BLOCK_STEPS steps.
 
     Each run draws from its own substream; several runs are decoded together.
+    The indices keep `_selections`' dtype, the smallest unsigned one that holds m - 1.
     """
     rngs = [substream(seed, r) for r in runs]
     for start in range(0, T, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, T - start)
-        sel = np.empty((steps, len(rngs), d), dtype=np.int32)  # counter indices < m
+        sel = np.empty((steps, d, len(rngs)), dtype=np.min_scalar_type(m - 1))
         group = max(1, _BLOCK_STEPS // steps)
         for i in range(0, len(rngs), group):
             u = np.concatenate([rng.random((steps, d)) for rng in rngs[i : i + group]])
-            sel[:, i : i + group] = _selections(u, m).reshape(-1, steps, d).transpose(1, 0, 2)
+            sel[..., i : i + group] = _selections(u, m).reshape(-1, steps, d).transpose(1, 2, 0)
         yield sel
 
 
-def _step_rows(values: np.ndarray, sel: np.ndarray, variant: int, g: int) -> np.ndarray:
-    """Step the rows as `_run_rows` does; below `_MIN_BATCH_RUNS` rows, one by one."""
-    if len(values) >= _MIN_BATCH_RUNS:
-        return _run_rows(values, sel, variant, g)
-    gaps = np.empty((len(values), len(sel)), dtype=np.int64)
-    for row, trace, row_sel in zip(values, gaps, sel.transpose(1, 0, 2)):
-        counters = row.tolist()
-        trace[:] = _run_steps(counters, row_sel.tolist(), variant, g)
-        row[:] = counters
-    return gaps
+def _step_rows(
+    values: np.ndarray, sel: np.ndarray, variant: int, g: int
+) -> Iterator[np.ndarray]:
+    """Step the columns as `_run_rows` does and yield the gaps in step order.
+
+    From `_MIN_BATCH_RUNS` columns up these are `_run_rows`' (R,) gaps of
+    each step; below it the columns are stepped one by one through
+    `_run_steps`, and the block's (steps, R) gaps are yielded at once.
+    """
+    if values.shape[1] >= _MIN_BATCH_RUNS:
+        yield from _run_rows(values, sel, variant, g)
+        return
+    gaps = np.empty((len(sel), values.shape[1]), dtype=np.int64)
+    for column, trace, run_sel in zip(values.T, gaps.T, sel.transpose(2, 0, 1)):
+        counters = column.tolist()
+        trace[:] = _run_steps(counters, run_sel.tolist(), variant, g)
+        column[:] = counters
+    yield gaps
 
 
 def _run_blocks(runs: int, most: int) -> Iterator[range]:
@@ -341,14 +360,14 @@ def _run_blocks(runs: int, most: int) -> Iterator[range]:
 
 def run_trajectory(config: SimConfig, run_index: int = 0) -> TrajectoryResult:
     """One seeded trajectory; exact conditional error from the final counters."""
-    values = np.zeros((1, config.m), dtype=np.int64)
+    values = np.zeros((config.m, 1), dtype=np.int64)
     blocks = _draws(config.seed, range(run_index, run_index + 1), config.T, config.m, config.d)
-    variant = _VARIANT_CODES[config.variant]
-    gaps = [_step_rows(values, sel, variant, config.g or 0)[0] for sel in blocks]
+    variant, g = _VARIANT_CODES[config.variant], config.g or 0
+    gaps = [gap.ravel() for sel in blocks for gap in _step_rows(values, sel, variant, g)]
     return TrajectoryResult(
-        values=values[0],
+        values=values[:, 0],
         gap_trace=np.concatenate(gaps),
-        conditional_error=expected_min_over_subsets(values[0], config.d),
+        conditional_error=expected_min_over_subsets(values[:, 0], config.d),
     )
 
 
@@ -365,6 +384,9 @@ def estimate_error(config: SimConfig) -> SimStats:
 
     Each run's error is C(m, d)^-1 times the integer numerator of
     `expected_min_over_subsets`, taken on Python ints from its sorted counters.
+    Runs are stepped in blocks of at most `_BATCH_RUNS`, and each step's
+    clipped gaps are added to the histogram as they are yielded, so no
+    (runs, T) gap trace is ever held.
     """
     m, d, T = config.m, config.d, config.T
     variant, g = _VARIANT_CODES[config.variant], config.g or 0
@@ -373,11 +395,12 @@ def estimate_error(config: SimConfig) -> SimStats:
     rates: list[float] = []
     counts = np.zeros(GAP_HISTOGRAM_LEVELS + 1, dtype=np.int64)
     for runs in _run_blocks(config.runs, _BATCH_RUNS):
-        values = np.zeros((len(runs), m), dtype=np.int64)
+        values = np.zeros((m, len(runs)), dtype=np.int64)
         for sel in _draws(config.seed, runs, T, m, d):
-            gaps = np.minimum(_step_rows(values, sel, variant, g), GAP_HISTOGRAM_LEVELS)
-            counts += np.bincount(gaps.ravel(), minlength=len(counts))  # last bin: larger gaps too
-        rows = np.sort(values, axis=1).tolist()  # sorted rows: the numerator's sort is a scan
+            for gaps in _step_rows(values, sel, variant, g):  # one step's gaps, or a block's
+                np.minimum(gaps, GAP_HISTOGRAM_LEVELS, out=gaps)  # last bin: larger gaps too
+                counts += np.bincount(gaps.ravel(), minlength=len(counts))
+        rows = np.sort(values, axis=0).T.tolist()  # sorted runs: the numerator's sort is a scan
         errors += [_expected_min_numerator(row, d) / subsets / T for row in rows]
         rates += [sum(row) / (T * m) for row in rows]
 
@@ -442,9 +465,9 @@ def sandwich_traces(cases: Sequence[tuple[int, int, int, int, int]]) -> list[San
 
 
 def _sandwich_chunk(cases: Sequence[tuple[int, int, int, int, int]]) -> list[SandwichReport]:
-    """The reports of n cases sharing one m, their 5n chains the rows of one `_run_rows` pass.
+    """The reports of n cases sharing one m, their 5n chains the columns of one `_run_rows` pass.
 
-    Row k * n + c holds chain k of case c, in the order of `sandwich_traces`;
+    Column k * n + c holds chain k of case c, in the order of `sandwich_traces`;
     each block of steps is one `_selections` decode and one pass.
     A case with d below the chunk's widest repeats its first pick, which
     changes nothing under the rule; steps past a case's T are stepped but
@@ -454,24 +477,15 @@ def _sandwich_chunk(cases: Sequence[tuple[int, int, int, int, int]]) -> list[San
     n, m = len(cases), cases[0][0]
     _, ds, gs, horizons, seeds = zip(*cases)
     width, longest = max(ds), max(horizons)
-    values = np.zeros((_CHAINS * n, m), dtype=np.int64)
-    chains = values.reshape(_CHAINS, n, m)  # a view
+    values = np.zeros((m, _CHAINS * n), dtype=np.int64)
+    chains = values.reshape(m, _CHAINS, n)  # a view
     variant = np.repeat([_LB, _LB, _CU, _UB, _UB], n)
     g = np.array(gs)
     caps = np.concatenate([g, g + 1, 0 * g, g + 1, g])
-    padded = np.arange(width) >= np.array(ds)[:, None]  # (case, pick): picks past its d
+    padded = np.arange(width)[:, None] >= np.array(ds)  # (pick, case): picks past its d
     rngs = [substream(seed, 0) for seed in seeds]
     first: dict[int, tuple[int, int]] = {}  # case -> (step, counter index)
-    bad = np.empty((_CHAINS - 1, n, m), dtype=bool)
-    done = 0  # steps of the earlier blocks
-
-    def compare(t: int) -> None:
-        np.greater(chains[:-1], chains[1:], out=bad)
-        if bad.any():
-            step = done + t + 1
-            for c in np.flatnonzero(bad.any(axis=(0, 2))).tolist():
-                if c not in first and step <= horizons[c]:
-                    first[c] = (step, int(np.flatnonzero(bad[:, c])[0]) % m)
+    bad = np.empty((m, _CHAINS - 1, n), dtype=bool)
 
     for start in range(0, longest, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, longest - start)
@@ -480,10 +494,15 @@ def _sandwich_chunk(cases: Sequence[tuple[int, int, int, int, int]]) -> list[San
             if T > start:
                 mine = min(steps, T - start)
                 u[:mine, c, :d] = rng.random((mine, d))
-        sel = _selections(u.reshape(-1, width), m).reshape(steps, n, width).astype(np.int32)
-        sel = np.where(padded, sel[..., :1], sel)
-        _run_rows(values, np.tile(sel, (1, _CHAINS, 1)), variant, caps, compare)
-        done += steps
+        sel = _selections(u.reshape(-1, width), m).reshape(steps, n, width).transpose(0, 2, 1)
+        sel = np.where(padded, sel[:, :1], sel)
+        for t, _ in enumerate(_run_rows(values, np.tile(sel, _CHAINS), variant, caps)):
+            np.greater(chains[:, :-1], chains[:, 1:], out=bad)
+            if bad.any():
+                step = start + t + 1
+                for c in np.flatnonzero(bad.any(axis=(0, 1))).tolist():
+                    if c not in first and step <= horizons[c]:
+                        first[c] = (step, int(np.flatnonzero(bad[:, :, c].T)[0]) % m)
     return [SandwichReport(ok=c not in first, first_violation=first.get(c)) for c in range(n)]
 
 
@@ -528,13 +547,14 @@ def worst_case_probe(
     absent_errors = []
     group = min(_BATCH_RUNS, max(1, _DECODE_CELLS // (len(slot) * d)))
     for block in _run_blocks(runs, group):
-        subsets = np.concatenate(list(_draws(seed, block, len(slot), m, d)))  # (items, runs, d)
-        values = np.zeros((len(block), m), dtype=np.int64)
+        subsets = np.concatenate(list(_draws(seed, block, len(slot), m, d)))  # (items, d, runs)
+        values = np.zeros((m, len(block)), dtype=np.int64)
         for start in range(0, len(order), _BLOCK_STEPS):
-            _step_rows(values, subsets[order[start : start + _BLOCK_STEPS]], _CU, 0)
-        picked = values[np.arange(len(block))[:, None], subsets]
-        run_errors[block] = picked.min(axis=2).T - count_of
-        for row in values.tolist():
+            for _ in _step_rows(values, subsets[order[start : start + _BLOCK_STEPS]], _CU, 0):
+                pass
+        picked = values[subsets, np.arange(len(block))]  # (items, d, runs)
+        run_errors[block] = picked.min(axis=1).T - count_of
+        for row in values.T.tolist():
             abs_err = expected_min_over_subsets(row, d)
             absent_sum += abs_err
             absent_errors.append(abs_err)

@@ -272,6 +272,25 @@ class TestSimulate:
         r1, r2 = json.loads(out1), json.loads(out2)
         assert r1["results"] == r2["results"]
 
+    def test_pinned_seeded_results(self, capsys):
+        """The seeded record `perfbench` pins for simulate-mc: stepping changes must keep it."""
+        rc, out, _ = run(
+            capsys, "simulate", "--m", "50", "--d", "4", "--t", "250",
+            "--runs", "2000", "--seed", "1",
+        )
+        assert rc == EXIT_OK
+        assert json.loads(out)["results"] == {
+            "mean_error_rate": "0.035473454346504563",
+            "stderr_error_rate": "2.2664812574732031e-05",
+            "mean_counter_rate": "0.038449360000000002",
+            "gap_histogram": {
+                "1": "1", "2": "0.93981400000000004", "3": "0.61154200000000003",
+                "4": "0.16331599999999999", "5": "0.025350000000000001", "6": "0.003692",
+                "7": "0.00043600000000000003", "8": "3.8000000000000002e-05",
+                "9": "0", "10": "0",
+            },
+        }
+
     def test_csv_per_run_rows(self, capsys):
         rc, out, _ = run(
             capsys, "simulate", "--m", "5", "--d", "2", "--t", "50",
@@ -445,7 +464,7 @@ class TestVerify:
             return sandwich_chunk(cases)
 
         def rows_spy(values, *args):
-            passes.append(len(values))
+            passes.append(values.shape[1])
             return run_rows(values, *args)
 
         monkeypatch.setattr(sim, "_run_steps", run_steps)

@@ -180,11 +180,11 @@ def _stepper_run(m, variant, g, u):
 
 
 def _rows_run(m, variant, g, u):
-    """Final counters and gap trace of each row of the (R, T, d) draws, stepped together."""
-    values = np.zeros((len(u), m), dtype=np.int64)
-    sel = np.stack([_selections(row, m) for row in u], axis=1)  # (T, R, d)
-    gaps = _run_rows(values, sel, _VARIANT_CODES[variant], g)
-    return list(zip(values.tolist(), gaps.tolist()))
+    """Final counters and gap trace of each run of the (R, T, d) draws, stepped together."""
+    values = np.zeros((m, len(u)), dtype=np.int64)
+    sel = np.stack([_selections(row, m) for row in u], axis=2)  # (T, d, R)
+    gaps = np.array(list(_run_rows(values, sel, _VARIANT_CODES[variant], g)))  # (T, R)
+    return list(zip(values.T.tolist(), gaps.T.tolist()))
 
 
 class TestStepperMatchesPureOperations:
@@ -244,14 +244,15 @@ class TestStepperMatchesPureOperations:
         caps = np.where(variants == _VARIANT_CODES["cu"], 0, rng.integers(1, 4, n_rows))
         ds = rng.integers(1, width + 1, n_rows)
         sel = _selections(rng.random((T * n_rows, width)), m).reshape(T, n_rows, width)
-        padded = np.where(np.arange(width) >= ds[:, None], sel[..., :1], sel)
-        values = np.zeros((n_rows, m), dtype=np.int64)
-        gaps = _run_rows(values, padded, variants, caps)
+        sel = sel.transpose(0, 2, 1)  # (T, d, R)
+        padded = np.where(np.arange(width)[:, None] >= ds, sel[:, :1], sel)
+        values = np.zeros((m, n_rows), dtype=np.int64)
+        gaps = np.array(list(_run_rows(values, padded, variants, caps)))  # (T, R)
         for i in range(n_rows):
             alone = [0] * m
-            trace = _run_steps(alone, sel[:, i, : ds[i]].tolist(), int(variants[i]), int(caps[i]))
-            assert values[i].tolist() == alone
-            assert gaps[i].tolist() == trace
+            trace = _run_steps(alone, sel[:, : ds[i], i].tolist(), int(variants[i]), int(caps[i]))
+            assert values[:, i].tolist() == alone
+            assert gaps[:, i].tolist() == trace
 
 
 class TestSelections:
@@ -340,6 +341,18 @@ class TestEstimateError:
             for level in range(1, GAP_HISTOGRAM_LEVELS + 1)
         }
 
+    def test_memory_holds_one_block_of_runs(self):
+        # One block of 512 runs holds its (T, d, runs) uint8 selections, its
+        # counters and its generators: about 2.0 MiB at the peak. A (runs, T)
+        # int64 gap trace would add 1 MB for one block, 4 MB for all runs.
+        tracemalloc.start()
+        try:
+            estimate_error(SimConfig(m=50, d=4, T=250, runs=2000, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
     def test_conditional_error_is_exact_on_large_counters(self):
         # At m=64, d=32 the weights C(64 - r, 31) reach 9.2e17, so int64
         # products of counters near 467 wrap around.
@@ -423,8 +436,9 @@ def _inject_faults(monkeypatch, faults):
 
     `faults` maps a case to (chain, index, step, shift) tuples, as
     `_sandwich_reference` takes them. The shifts are added to the chunk's
-    counters just before each comparison and taken off after it, so the
-    stepping is unchanged; row chain * n + c holds that chain of case c.
+    counters just before each step's gaps are yielded to the comparison and
+    taken off when the next step is asked for, so the stepping is unchanged;
+    column chain * n + c holds that chain of case c.
     """
     chunk, done = [], [0]  # the cases of the chunk being stepped, its steps so far
     sandwich_chunk = cusketch.simulate._sandwich_chunk
@@ -434,10 +448,9 @@ def _inject_faults(monkeypatch, faults):
         chunk[:], done[0] = cases, 0
         return sandwich_chunk(cases)
 
-    def rows_spy(values, sel, variant, g, after_step=None):
+    def rows_spy(values, sel, variant, g):
         n = len(chunk)
-
-        def faulted(t):
+        for t, gaps in enumerate(run_rows(values, sel, variant, g)):
             step = done[0] + t + 1
             shifts = [
                 (chain * n + c, index, shift)
@@ -445,31 +458,26 @@ def _inject_faults(monkeypatch, faults):
                 for chain, index, start, shift in faults.get(case, ())
                 if step >= start
             ]
-            for row, index, shift in shifts:
-                values[row, index] += shift
-            after_step(t)
-            for row, index, shift in shifts:
-                values[row, index] -= shift
-
-        gaps = run_rows(values, sel, variant, g, faulted)
+            for column, index, shift in shifts:
+                values[index, column] += shift
+            yield gaps
+            for column, index, shift in shifts:
+                values[index, column] -= shift
         done[0] += len(sel)
-        return gaps
 
     monkeypatch.setattr(cusketch.simulate, "_sandwich_chunk", chunk_spy)
     monkeypatch.setattr(cusketch.simulate, "_run_rows", rows_spy)
 
 
 def _record_counters(monkeypatch):
-    """A list that receives a copy of the stepped counters after every `_run_rows` step."""
+    """A list that receives a copy of the (m, R) counters after every `_run_rows` step."""
     snapshots = []
     run_rows = cusketch.simulate._run_rows
 
-    def rows_spy(values, sel, variant, g, after_step=None):
-        def record(t):
+    def rows_spy(values, sel, variant, g):
+        for gaps in run_rows(values, sel, variant, g):
             snapshots.append(values.copy())
-            after_step(t)
-
-        return run_rows(values, sel, variant, g, record)
+            yield gaps
 
     monkeypatch.setattr(cusketch.simulate, "_run_rows", rows_spy)
     return snapshots
@@ -553,13 +561,14 @@ class TestSandwich:
         narrow, wide = (6, 2, 2, 30, 1), (6, 5, 1, 20, 2)
         snapshots = _record_counters(monkeypatch)
         assert all(sandwich_traces([narrow, wide]))
-        batch = np.array(snapshots).reshape(30, 5, 2, 6)  # (step, chain, case, counter)
+        # (step, counter, chain, case) to (step, chain, case, counter)
+        batch = np.array(snapshots).reshape(30, 6, 5, 2).transpose(0, 2, 3, 1)
         for c, (m, d, g, T, seed) in enumerate([narrow, wide]):
             alone = _chain_snapshots(m, d, g, T, seed).transpose(1, 0, 2)  # (step, chain, counter)
             assert np.array_equal(batch[:T, :, c], alone)
         snapshots.clear()
         assert sandwich_trace(*narrow)
-        assert np.array_equal(np.array(snapshots), batch[:, :, 0])
+        assert np.array_equal(np.array(snapshots).transpose(0, 2, 1), batch[:, :, 0])
 
     @settings(max_examples=25, deadline=None)
     @given(cases=st.lists(_sandwich_cases, min_size=1, max_size=8), data=st.data())
