@@ -325,7 +325,8 @@ class TestEstimateError:
             index, error, rate = line.split(",")
             assert int(index) == i and float(error) >= 0.0 and float(rate) > 0.0
 
-    @pytest.mark.parametrize("runs", [1, _MIN_BATCH_RUNS - 1, _MIN_BATCH_RUNS, _BATCH_RUNS + 7])
+    @pytest.mark.parametrize(
+        "runs", [1, _MIN_BATCH_RUNS - 1, _MIN_BATCH_RUNS, 71, _BATCH_RUNS + 7])
     @pytest.mark.parametrize("variant,g", [("cu", None), ("lb", 1), ("ub", 2)])
     def test_matches_run_by_run_trajectories(self, runs, variant, g):
         """Runs stepped alone or together in blocks give each run's own trajectory."""
