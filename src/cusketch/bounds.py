@@ -11,11 +11,12 @@ vector. It comes from a BiCGSTAB solve of the Poisson equation
 Odoni's interval: for any h, pi.r lies between the least and greatest entry
 of r + P h - h (`long_run_interval`). A solve that met tol on its recursive
 residual but left the interval wider than tol is restarted once from its
-true residual. A chain whose interval the solve cannot make tol wide falls
-back to power iteration (`stationary`) from an ARPACK start, and only that
-fallback imports `scipy.sparse` and `scipy.sparse.linalg`.
+true residual. A chain whose interval is still wider than tol gets one
+GMRES solve of the same system, preconditioned by an incomplete LU factor
+(`_ilu_gmres_solve`), the only step that imports `scipy.sparse`, and raises
+NonConvergenceError if that interval is too wide as well.
 
-Every product with P outside that fallback goes through `_products`, which
+Every product with P outside that step goes through `_products`, which
 calls SciPy's compiled `csr_matvec` on the kernel's CSR arrays: on a P of at
 least SPLIT_MIN_NNZ nonzeros it splits the rows into two parts of equal
 nonzero count, one for the calling thread and one for a one-thread pool, and
@@ -38,16 +39,14 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
-from .kernel import TransitionKernel, build_kernel, check_kernel_size, retarget_capped, sparsetools
+from .errors import ConfigurationError, NonConvergenceError
+from .kernel import KERNEL_BYTES_GUARD, TransitionKernel, build_kernel, check_kernel_size
+from .kernel import retarget_capped, sparsetools
 from .states import StateSpace, enumerate_states
 
 # the CSR kernel behind SciPy's `p @ x`, here called on a range of rows
 _csr_matvec = sparsetools.csr_matvec
 
-# Arnoldi basis size for the stationary start vector. 40 raised the peak RSS
-# of `asymptotic --m 50 --d 4 --g 3` from 72.2 to 76.2 MB and ran no faster.
-ARNOLDI_NCV = 20
 # Rounding floor of one power step, relative to max(pi). Once converged,
 # ||pi P - pi||_inf / max(pi) fluctuates between 0 and 7 eps (median at most
 # 1.7 eps) on chains of 2 to 230,300 states, so a residual at or below the
@@ -58,6 +57,17 @@ MAX_POWER_ITERS = 10**6
 # BiCGSTAB iterations (two mat-vecs each) before one Poisson solve gives up.
 # The m=50, d=4, g=3 chains need 134 (LB) and 111 (UB).
 MAX_KRYLOV_ITERS = 1000
+# `_ilu_gmres_solve`'s incomplete LU (drop tolerance, fill bound over the
+# nonzeros of I - P + 1 e_0^T, column order) and GMRES restart length. On the
+# LB chains BiCGSTAB leaves wide, GMRES then needs 10-16 iterations. In
+# natural (lexicographic) state order (100,4,3) LB factored in 3.5 s at
+# (1e-5, 10), in COLAMD's in 22 s. (1e-4, 10) factored (100,1,3) and
+# (100,4,3) LB in 1.0 and 2.6 s, (1e-3, 10) in 8.6 and 1.5 s, and a fill
+# bound of 5 took 23-38 s.
+ILU_DROP_TOL = 1e-4
+ILU_FILL_FACTOR = 10
+ILU_ORDER = "NATURAL"
+GMRES_RESTART = 50
 # Nonzeros of P from which `_products` splits each mat-vec by rows over two
 # threads. On a 2-core Xeon, against one thread, a split step took 1.29x as
 # long at m=50, d=4, g=3 (207k nonzeros), where the hand-off costs more than
@@ -126,19 +136,15 @@ def expected_error_from_kernel(kernel: TransitionKernel, T: int) -> float:
 
 
 def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
-    """Limiting distribution by power iteration from an Arnoldi estimate.
+    """Limiting distribution by power iteration from the start state, for the benchmark harness.
 
-    The chain is ergodic, so the iteration converges to the unique
-    stationary vector from any start; the Arnoldi start only saves the
-    thousands of steps a slowly rotating second eigenvalue pair costs. The
-    iteration stops once ||pi P - pi||_inf <= tol, and raises
-    NonConvergenceError once the residual sits at its rounding floor above
-    tol. `_long_run_value`, its caller in the package, checks the result
-    against Odoni's interval.
+    It stops once ||pi P - pi||_inf <= tol, and raises NonConvergenceError
+    once the residual sits at its rounding floor above tol. No code in the
+    package calls it: `_long_run_value` certifies pi.r without pi.
     """
     _check_tol(tol)
     pt = kernel.p.T
-    pi = _start_vector(kernel)
+    pi = np.eye(1, len(kernel.r), kernel.space.initial_index)[0]
     residual = np.inf
     for it in range(MAX_POWER_ITERS):
         nxt = pt @ pi
@@ -168,51 +174,6 @@ def _check_tol(tol: float) -> None:
     """Refuse a tolerance that is not a finite positive number, NaN included."""
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
-
-
-def _start_vector(kernel: TransitionKernel) -> np.ndarray:
-    """The eigenvector of P^T for lambda = 1 as a distribution, else the start state.
-
-    ARPACK targets the largest real part: 1 is the only eigenvalue of a
-    stochastic matrix with real part 1, while the largest modulus picked
-    0.9687 - 0.2298i (modulus 0.9956) on the m=50, d=4, g=5 LB chain.
-    ARPACK needs k < n - 1, so a two-state chain starts from the solution of
-    its balance equation, pi_0 P_01 = pi_1 P_10: from the point mass, with
-    lambda_2 = -(m-1)/m, it needs hundreds of power steps. A one-state chain
-    starts from the point mass, its stationary vector. Any ARPACK failure
-    starts from the point mass on the initial state. The uniform v0 matters:
-    from the point mass ARPACK converged to a wrong Ritz vector on the m=50,
-    d=4, g=3 chains. `scipy.sparse.linalg` is imported here, not with the
-    module: it loads `scipy.linalg` and SciPy's own OpenBLAS, about 10 MB of
-    peak RSS that a process whose chains need no fallback never uses.
-    """
-    n = len(kernel.space)
-    vec = None
-    if n == 2:
-        p = kernel.p
-        vec = np.array([p[1, 0], p[0, 1]])  # (P_10, P_01)
-    elif n > 2:
-        import scipy.sparse.linalg
-
-        try:
-            _, vecs = scipy.sparse.linalg.eigs(
-                kernel.p.T, k=1, which="LR", tol=0, v0=np.full(n, 1.0 / n),
-                ncv=min(n, ARNOLDI_NCV),
-            )
-        except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-            pass
-        else:
-            vec = vecs[:, 0]
-    if vec is not None:
-        with np.errstate(all="ignore"):
-            pi = (vec / vec.sum()).real
-        np.clip(pi, 0.0, None, out=pi)
-        total = pi.sum()
-        if np.isfinite(total) and total > 0:
-            return pi / total
-    pi = np.zeros(n)
-    pi[kernel.space.initial_index] = 1.0
-    return pi
 
 
 def _poisson_solve(
@@ -315,29 +276,65 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     return (e_lo if e_lo > lo else lo), (e_hi if e_hi < hi else hi)
 
 
-def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
-    """The chain's long-run value pi.r: certified by Odoni's interval, else by power iteration.
+def _ilu_gmres_solve(kernel: TransitionKernel, tol: float) -> tuple[np.ndarray, int]:
+    """An approximate solution h of `_poisson_solve`'s system by ILU-GMRES, and its iterations.
 
-    A Poisson solve that met tol on its drifted residual but left the
+    SuperLU's threshold incomplete LU (`spilu`; Saad, Iterative Methods for
+    Sparse Linear Systems, 2003, ch. 10) preconditions restarted GMRES
+    (ibid., sec. 6.5), run from h = 0 until the true residual's 2-norm is at
+    most tol / 4, for MAX_KRYLOV_ITERS iterations at most (one cycle at
+    least). Only h's interval is trusted, so a zero pivot gives NaN. The
+    import is here, not with the module: `scipy.sparse.linalg` loads SciPy's
+    own OpenBLAS, about 10 MB of peak RSS that BiCGSTAB's chains never use.
+    """
+    import scipy.sparse
+    import scipy.sparse.linalg as sla
+
+    n = len(kernel.r)
+    border = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), np.zeros(n, int))), (n, n))
+    a = (scipy.sparse.identity(n, format="csr") - kernel.p + border).tocsc()
+    try:
+        ilu = sla.spilu(a, ILU_DROP_TOL, ILU_FILL_FACTOR, permc_spec=ILU_ORDER)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        return np.full(n, np.nan), 0
+    steps: list[float] = []
+    h, _ = sla.gmres(
+        a, kernel.r, M=sla.LinearOperator((n, n), ilu.solve), rtol=0.0, atol=tol / 4,
+        restart=GMRES_RESTART, maxiter=max(1, MAX_KRYLOV_ITERS // GMRES_RESTART),
+        callback=steps.append, callback_type="pr_norm",
+    )
+    return h, len(steps)
+
+
+def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
+    """The chain's long-run value pi.r, certified by Odoni's interval.
+
+    A BiCGSTAB solve that met tol on its drifted residual but left the
     interval wider than tol is restarted once from its h; one that broke
-    down or ran out of iterations is not. When the interval is at most tol
-    wide, LB reports its low end and UB its high end, so each bound errs
-    only on its own safe side, whatever error the solve leaves. Otherwise
-    the value is `stationary`'s pi.r, which must lie in the interval.
+    down or ran out of iterations is not. A chain still wider than tol gets
+    one ILU-GMRES solve, if its factor fits ILU_FILL_FACTOR x (nonzeros +
+    2N) x 12 bytes within KERNEL_BYTES_GUARD. LB reports the interval's low
+    end and UB its high end, so each bound errs only on its own safe side.
+    An interval still wider than tol raises NonConvergenceError.
     """
     h, met_tol = _poisson_solve(kernel, tol)
     lo, hi = long_run_interval(kernel, h)
     if hi - lo > tol and met_tol:
         lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol, h)[0])
-    if hi - lo <= tol:
-        return lo if kernel.variant == "lb" else hi
-    value = float(stationary(kernel, tol=tol) @ kernel.r)
-    if not lo <= value <= hi:
-        raise InternalConsistencyError(
-            f"the {kernel.variant} chain's power-iteration value {value!r} "
-            f"lies outside its long-run interval [{lo!r}, {hi!r}]"
-        )
-    return value
+    if hi - lo > tol:
+        factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * len(kernel.r)) * 12
+        iterations = 0
+        how = f"after BiCGSTAB; its ILU factor could need {factor_bytes} B, over the guard"
+        if factor_bytes <= KERNEL_BYTES_GUARD:
+            h, iterations = _ilu_gmres_solve(kernel, tol)
+            lo, hi = long_run_interval(kernel, h)
+            how = f"after {iterations} ILU-GMRES iterations"
+        if hi - lo > tol:
+            raise NonConvergenceError(
+                f"the {kernel.variant} chain's long-run interval is {hi - lo:.3e} wide "
+                f"> tol {tol:.1e} {how}", residual=hi - lo, iterations=iterations,
+            )
+    return lo if kernel.variant == "lb" else hi
 
 
 class ChainValue(NamedTuple):

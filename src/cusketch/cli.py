@@ -357,9 +357,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", choices=("lb", "ub", "both"), default="both")
     p.add_argument(
         "--tol", type=float, default=1e-12,
-        help="largest width of a limit's certified interval; a chain that the "
-        "Poisson solve cannot certify this tightly falls back to power "
-        "iteration, which stops once ||pi P - pi||_inf <= tol (default: %(default)s)",
+        help="largest width of a limit's certified interval; a chain that "
+        "BiCGSTAB leaves wider gets one ILU-preconditioned GMRES solve, and one "
+        "still wider exits with code 2 (default: %(default)s)",
     )
     p.set_defaults(func=_cmd_asymptotic)
 

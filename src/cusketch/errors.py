@@ -8,9 +8,9 @@ class ConfigurationError(ValueError):
 class NonConvergenceError(RuntimeError):
     """The long-run solve failed to reach the requested tolerance.
 
-    Raised by power iteration, the fallback for a chain whose Poisson solve
-    leaves a certified interval wider than tol; `residual` and `iterations`
-    are power iteration's.
+    `residual` is the certified interval's width and `iterations` are
+    ILU-GMRES's, 0 if its factor would pass its budget (`stationary`'s are
+    its power-iteration residual and steps).
     """
 
     def __init__(self, message: str, residual: float, iterations: int):

@@ -19,7 +19,7 @@ from cusketch.bounds import (
     long_run_interval,
     stationary,
 )
-from cusketch.errors import ConfigurationError, InternalConsistencyError, NonConvergenceError
+from cusketch.errors import ConfigurationError, NonConvergenceError
 from cusketch.kernel import build_kernel, retarget_capped
 from cusketch.simulate import brute_force_expected_error, exact_errors
 from cusketch.states import enumerate_states
@@ -133,6 +133,14 @@ class TestBackwardSum:
             expected_error_from_kernel(two_state_lb, 0)
 
 
+def _balance_solution(kernel):
+    """pi from (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1, solved densely."""
+    n = len(kernel.space)
+    a = kernel.p.T.toarray() - np.eye(n)
+    a[-1] = 1.0
+    return np.linalg.solve(a, np.eye(n)[-1])
+
+
 class TestStationary:
     def test_two_state_balance(self, two_state_lb, two_state_ub):
         assert stationary(two_state_lb) == pytest.approx([2 / 5, 3 / 5], abs=1e-10)
@@ -144,10 +152,7 @@ class TestStationary:
         assert np.abs(pi @ p - pi).max() <= 1e-12
 
     def test_non_convergence_reported(self, two_state_lb, monkeypatch):
-        # From the point mass two power steps cannot reach 1e-15; the balance
-        # solution `_start_vector` gives a two-state chain already does.
-        point_mass = np.eye(2)[two_state_lb.space.initial_index]
-        monkeypatch.setattr(cusketch.bounds, "_start_vector", lambda kernel: point_mass)
+        # lambda_2 = -2/3: from the start state two power steps cannot reach 1e-15
         monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 2)
         with pytest.raises(NonConvergenceError) as exc:
             stationary(two_state_lb, tol=1e-15)
@@ -163,26 +168,30 @@ class TestStationary:
             stationary(two_state_lb, tol=tol)
 
     def test_nan_fallback_fails_the_interval_check(self, monkeypatch):
-        # the Poisson solve gives up at once, so the chain falls back, and a
-        # NaN stationary vector lies in no interval
+        # BiCGSTAB gives up at once and ILU-GMRES returns NaN, which lies in
+        # no interval narrower than [min r, max r]
         monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
         monkeypatch.setattr(
-            cusketch.bounds, "stationary", lambda kernel, tol: np.full(len(kernel.r), np.nan)
+            cusketch.bounds, "_ilu_gmres_solve",
+            lambda kernel, tol: (np.full(len(kernel.r), np.nan), 7),
         )
-        with pytest.raises(InternalConsistencyError, match="outside its long-run interval"):
+        with pytest.raises(NonConvergenceError, match="wide > tol 1.0e-12 after 7 ILU-GMRES"):
             asymptotic_error(4, 2, 2, "lb")
 
     def test_unreachable_tol_stops_at_rounding_floor(self):
+        # |lambda_2| = 0.8149 on this chain, so from the start state the
+        # residual reaches the 8 eps floor after about log(8 eps) / log 0.8149
+        # = 166 steps; it stops at step 174
         kernel = build_kernel(enumerate_states(6, 2, 2), "lb")
         with pytest.raises(NonConvergenceError) as exc:
             stationary(kernel, tol=1e-300)
-        assert exc.value.iterations <= 5
+        assert exc.value.iterations <= 200
         assert 1e-300 < exc.value.residual <= 1e-15
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_long_run_interval_holds_the_stationary_value(self, m):
         # every d and g <= 3, LB then UB: the Poisson solve certifies each
-        # chain, and its interval holds power iteration's pi.r
+        # chain, and its interval holds pi.r from the dense balance solution
         for d in range(1, m + 1):
             for g in (1, 2, 3):
                 kernel = build_kernel(enumerate_states(m, d, g), "lb")
@@ -191,98 +200,24 @@ class TestStationary:
                         retarget_capped(kernel)
                     h, _ = _poisson_solve(kernel, 1e-12)
                     lo, hi = long_run_interval(kernel, h)
-                    value = float(stationary(kernel) @ kernel.r)
+                    value = float(_balance_solution(kernel) @ kernel.r)
                     assert hi - lo <= 1e-10 and lo <= value <= hi, (m, d, g, variant)
 
 
-def _residual(kernel, pi):
-    return float(np.abs(kernel.p.T @ pi - pi).max())
+def _no_ilu_gmres(kernel, tol):
+    raise AssertionError("the long-run solve went on to ILU-GMRES")
 
 
-def _balance_solution(kernel):
-    """pi from (P^T - I) pi = 0 with its last equation replaced by sum(pi) = 1, solved densely."""
-    n = len(kernel.space)
-    a = kernel.p.T.toarray() - np.eye(n)
-    a[-1] = 1.0
-    return np.linalg.solve(a, np.eye(n)[-1])
+def _ilu_gmres_spy(monkeypatch):
+    """Record the variant of each chain that goes on to ILU-GMRES, which still runs."""
+    calls, real = [], cusketch.bounds._ilu_gmres_solve
 
+    def spy(kernel, tol):
+        calls.append(kernel.variant)
+        return real(kernel, tol)
 
-class TestArnoldiStart:
-    """The power loop certifies the result whatever ARPACK hands it."""
-
-    @pytest.fixture(scope="class")
-    def kernel(self):
-        return build_kernel(enumerate_states(10, 3, 3), "ub")  # 120 states
-
-    def test_start_is_already_stationary(self, kernel):
-        start = cusketch.bounds._start_vector(kernel)
-        assert start.min() >= 0.0 and start.sum() == pytest.approx(1.0, abs=1e-15)
-        assert _residual(kernel, start) <= 1e-14
-
-    @pytest.mark.slow
-    def test_g5_lb_start_is_stationary(self):
-        # about 100 s and 1.2 GB; the largest-modulus Ritz value of this
-        # chain is 0.9687 - 0.2298i, and its vector has residual 1.4e-3
-        kernel = build_kernel(enumerate_states(50, 4, 5), "lb")
-        assert _residual(kernel, cusketch.bounds._start_vector(kernel)) <= 1e-14
-
-    def _check(self, kernel, tol=1e-12):
-        pi = stationary(kernel, tol=tol)
-        assert _residual(kernel, pi) <= 2 * tol
-        assert np.abs(pi - _balance_solution(kernel)).max() <= 1e-10
-
-    def test_arpack_no_convergence_falls_back(self, kernel, monkeypatch):
-        calls = []
-
-        def eigs(*args, **kwargs):
-            calls.append(kwargs)
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
-        start = cusketch.bounds._start_vector(kernel)
-        assert start[kernel.space.initial_index] == 1.0 and start.sum() == 1.0
-        self._check(kernel)
-        assert calls
-
-    @pytest.mark.parametrize(
-        "vector",
-        [
-            lambda n: np.eye(n)[n - 1],  # a point mass on the wrong state
-            lambda n: np.linspace(-1.0, 2.0, n) + 0.5j,  # mixed signs, complex
-        ],
-    )
-    def test_wrong_ritz_vector_is_repaired(self, kernel, monkeypatch, vector):
-        n = len(kernel.space)
-
-        def eigs(*args, **kwargs):
-            return np.array([0.9 + 0.2j]), vector(n).astype(complex)[:, None]
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
-        assert _residual(kernel, cusketch.bounds._start_vector(kernel)) > 1e-3
-        self._check(kernel)
-
-    @pytest.mark.parametrize(
-        "m, d, g, n, arnoldi",
-        [(5, 5, 1, 1, False), (3, 2, 1, 2, False), (3, 2, 2, 3, True)],
-    )
-    def test_smallest_chains(self, monkeypatch, m, d, g, n, arnoldi):
-        kernel = build_kernel(enumerate_states(m, d, g), "lb")
-        assert len(kernel.space) == n
-        calls = []
-        real_eigs = scipy.sparse.linalg.eigs
-
-        def eigs(*args, **kwargs):
-            calls.append(kwargs)
-            return real_eigs(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
-        self._check(kernel)
-        assert bool(calls) == arnoldi
-
-    def test_two_state_chain_starts_stationary(self, two_state_lb, monkeypatch):
-        # lambda_2 = -2/3: from the point mass the power loop needs dozens of steps
-        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 1)
-        assert _residual(two_state_lb, stationary(two_state_lb)) <= 1e-15
+    monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", spy)
+    return calls
 
 
 class TestAsymptotic:
@@ -326,12 +261,10 @@ class TestAsymptotic:
         assert hi - lo <= 1e-12 and value == (lo if variant == "lb" else hi)
 
     def test_g3_needs_no_arpack(self, monkeypatch, intervals):
-        # the benchmark chains are certified by the Poisson solve alone, and
-        # each bound is the end of its interval on its own safe side
-        def eigs(*args, **kwargs):
-            raise AssertionError("the long-run solve fell back to ARPACK")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", eigs)
+        # the benchmark chains are certified by BiCGSTAB alone: no second
+        # solver runs, ILU-GMRES now as ARPACK before it, and each bound is
+        # the end of its interval on its own safe side
+        monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", _no_ilu_gmres)
         chains = chain_values(50, 4, 3, None)
         assert abs(chains["lb"].value - self.LIMITS[3][0]) <= 1e-9
         assert abs(chains["ub"].value - self.LIMITS[3][1]) <= 1e-9
@@ -357,20 +290,19 @@ class TestAsymptotic:
         assert lo <= self.LIMITS[3][variant == "ub"] <= hi
         assert kernel.r.min() <= lo and hi <= kernel.r.max()
 
-    def test_uncertified_chain_falls_back_to_power_iteration(self, monkeypatch, intervals):
-        # frozen self-loops near 0.99: the solve leaves a wide interval, and
-        # the value is power iteration's, bit for bit as before the solve
-        calls = []
-        power = cusketch.bounds.stationary
+    def test_uncertified_chain_is_certified_by_ilu_gmres(self, monkeypatch, intervals):
+        # frozen self-loops near 0.99: BiCGSTAB leaves a wide interval, and
+        # one ILU-GMRES solve certifies the chain. Power iteration's value,
+        # 0.0025625508887330852 before that solve replaced it, lies inside.
+        def stationary(kernel, tol=1e-12):
+            raise AssertionError("the long-run solve ran power iteration")
 
-        def stationary_spy(kernel, tol):
-            calls.append(kernel.variant)
-            return power(kernel, tol)
-
-        monkeypatch.setattr(cusketch.bounds, "stationary", stationary_spy)
-        assert asymptotic_error(200, 3, 1, "lb") == 0.0025625508887330852
-        [(lo, hi)] = intervals
-        assert calls == ["lb"] and hi - lo > 1e-12
+        calls = _ilu_gmres_spy(monkeypatch)
+        monkeypatch.setattr(cusketch.bounds, "stationary", stationary)
+        assert asymptotic_error(200, 3, 1, "lb") == 0.0025625508887305998
+        (lo, hi), (ilu_lo, ilu_hi) = intervals
+        assert calls == ["lb"] and hi - lo > 1e-12 >= ilu_hi - ilu_lo
+        assert ilu_lo <= 0.0025625508887330852 <= ilu_hi
 
     @pytest.mark.parametrize(
         "m, d, g, variant, expected",
@@ -384,33 +316,70 @@ class TestAsymptotic:
         self, monkeypatch, intervals, m, d, g, variant, expected
     ):
         # BiCGSTAB's recursive residual meets tol / 4 while the true one does
-        # not; one restart from r - A h certifies the chain, with no fallback
-        def stationary(kernel, tol):
-            raise AssertionError("the long-run solve fell back to power iteration")
-
-        monkeypatch.setattr(cusketch.bounds, "stationary", stationary)
+        # not; one restart from r - A h certifies the chain, with no ILU-GMRES
+        monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", _no_ilu_gmres)
         assert abs(asymptotic_error(m, d, g, variant) - expected) <= 1e-12
         (lo, hi), (restart_lo, restart_hi) = intervals
         assert hi - lo > 1e-12 >= restart_hi - restart_lo
 
     def test_solve_out_of_iterations_is_not_restarted(self, monkeypatch, intervals):
-        calls = []
-        power = cusketch.bounds.stationary
-
-        def stationary_spy(kernel, tol):
-            calls.append(kernel.variant)
-            return power(kernel, tol)
-
-        monkeypatch.setattr(cusketch.bounds, "stationary", stationary_spy)
+        # BiCGSTAB stops after 5 iterations, and the chain goes to ILU-GMRES
+        calls = _ilu_gmres_spy(monkeypatch)
         monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 5)
         assert abs(asymptotic_error(17, 8, 3, "ub") - 0.20112351583230614) <= 1e-12
-        [(lo, hi)] = intervals
-        assert calls == ["ub"] and hi - lo > 1e-12
+        (lo, hi), (ilu_lo, ilu_hi) = intervals
+        assert calls == ["ub"] and hi - lo > 1e-12 >= ilu_hi - ilu_lo
 
     def test_fallback_value_outside_the_interval_is_refused(self, monkeypatch):
+        # no h, ILU-GMRES's included, narrows this interval: exit 2, not a value
         monkeypatch.setattr(cusketch.bounds, "long_run_interval", lambda kernel, h: (1.0, 2.0))
-        with pytest.raises(InternalConsistencyError, match="outside its long-run interval"):
+        with pytest.raises(NonConvergenceError, match="interval is 1.000e[+]00 wide") as exc:
             asymptotic_error(9, 3, 2, "lb")
+        assert exc.value.residual == 1.0 and exc.value.iterations > 0
+
+    def test_factor_past_its_budget_is_refused_unbuilt(self, monkeypatch, intervals):
+        # (200, 3, 1) LB has 786 nonzeros and 198 states: its factor's budget
+        # is 10 x (786 + 396) x 12 = 141,840 bytes
+        monkeypatch.setattr(cusketch.bounds, "KERNEL_BYTES_GUARD", 141_839)
+        monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", _no_ilu_gmres)
+        with pytest.raises(NonConvergenceError, match="could need 141840 B, over the") as exc:
+            asymptotic_error(200, 3, 1, "lb")
+        [(lo, hi)] = intervals
+        assert exc.value.residual == hi - lo > 1e-12 and exc.value.iterations == 0
+
+    def test_singular_factor_gives_the_wide_interval(self, monkeypatch, intervals):
+        def spilu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu", spilu)
+        with pytest.raises(NonConvergenceError, match="after 0 ILU-GMRES iterations"):
+            asymptotic_error(200, 3, 1, "lb")
+        kernel = build_kernel(enumerate_states(200, 3, 1), "lb")
+        assert intervals[-1] == (kernel.r.min(), kernel.r.max())
+
+    # Logged LB chains that BiCGSTAB leaves wide, with the value power
+    # iteration from an ARPACK start gave them before ILU-GMRES replaced it.
+    UNCERTIFIED = [
+        (200, 3, 1, 0.0025625508887330852),
+        (100, 1, 2, 0.003474864311339029),
+        (100, 2, 2, 0.0068737991788279445),
+        (200, 3, 2, 0.0046272660058910798),
+        (50, 2, 3, 0.019345062793275882),
+    ]
+    UNCERTIFIED_SLOW = [
+        pytest.param(100, 1, 3, 0.0046047723480655148, marks=pytest.mark.slow),
+        pytest.param(100, 4, 3, 0.016623095020482297, marks=pytest.mark.slow),
+    ]
+
+    @pytest.mark.parametrize("m, d, g, power_value", UNCERTIFIED + UNCERTIFIED_SLOW)
+    def test_ilu_gmres_certifies_the_logged_chains(
+        self, monkeypatch, intervals, m, d, g, power_value
+    ):
+        calls = _ilu_gmres_spy(monkeypatch)
+        value = asymptotic_error(m, d, g, "lb")
+        lo, hi = intervals[-1]
+        assert calls == ["lb"] and hi - lo <= 1e-12 and value == lo
+        assert lo <= power_value <= hi
 
     def test_two_state_limits(self):
         assert asymptotic_error(3, 2, 1, "lb") == pytest.approx(2 / 5, abs=1e-10)

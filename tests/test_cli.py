@@ -194,13 +194,13 @@ class TestAsymptotic:
         assert float(record["results"]["lower"]) == pytest.approx(0.4, abs=1e-10)
         assert float(record["results"]["upper"]) == pytest.approx(0.6, abs=1e-10)
 
-    def test_non_convergence_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 3)
+    def test_non_convergence_exit_code(self, capsys):
+        # no interval is 1e-300 wide: its rounding slack alone is wider
         rc, _, err = run(
             capsys, "asymptotic", "--m", "6", "--d", "2", "--g", "2", "--tol", "1e-300"
         )
         assert rc == EXIT_NO_CONVERGENCE
-        assert "residual" in err
+        assert "wide > tol 1.0e-300 after" in err and "ILU-GMRES iterations (residual" in err
 
     def test_internal_consistency_error_exit_code(self, capsys, monkeypatch):
         def long_run_value(kernel, tol):
@@ -495,10 +495,10 @@ class TestVerify:
             raise InternalConsistencyError("injected kernel fault")
 
         monkeypatch.setattr(cli_mod, "build_kernel", build_kernel)
-        # every solve gives up: the Poisson solve certifies nothing, so each
-        # chain falls back to power iteration, which stops at once
+        # every solve gives up: BiCGSTAB certifies nothing, and no chain's
+        # ILU factor fits a budget of 0 bytes
         monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
-        monkeypatch.setattr(cusketch.bounds, "MAX_POWER_ITERS", 0)
+        monkeypatch.setattr(cusketch.bounds, "KERNEL_BYTES_GUARD", 0)
         rc, out, err = run(capsys, "verify", "--level", "full")
         assert rc == EXIT_VERIFY_FAILED
         lines = out.splitlines()
@@ -510,7 +510,8 @@ class TestVerify:
         assert all(line.startswith("ok  ") for line in lines[:-4])
         assert lines[-1].startswith("verify full: 2 failure(s)")
         assert "kernel-soundness m<=8: injected kernel fault" in err
-        assert "closed-form-vs-markov m<=20: power iteration residual" in err
+        assert "closed-form-vs-markov m<=20: the lb chain's long-run interval is" in err
+        assert "its ILU factor could need" in err
 
     def test_unretargeted_ub_fails_the_oracle_check_where_the_cap_binds(self, capsys, monkeypatch):
         # UB's chain left as LB's agrees with CU wherever g = T, so only the
@@ -590,9 +591,10 @@ def test_solver_stack_loads_only_on_the_fallback():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [EXIT_OK] * 5
-    # none of the first four commands falls back; the (200, 3, 1) LB chain does
+    # BiCGSTAB certifies the first four commands; the (200, 3, 1) LB chain
+    # goes on to ILU-GMRES
     assert report["loaded"] == [False, True]
-    # the CSR routines come without `scipy.sparse`, which only the fallback's
-    # reads of P through `kernel.p` import
+    # the CSR routines come without `scipy.sparse`, which only ILU-GMRES's
+    # read of P through `kernel.p` imports
     assert report["sparse"] == [False, False, True]
-    assert report["lower"] == "0.0025625508887330852"
+    assert report["lower"] == "0.0025625508887305998"
