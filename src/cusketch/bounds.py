@@ -9,12 +9,11 @@ reads P row by row. The long-run bound is pi.r, pi the chain's stationary
 vector. It comes from a BiCGSTAB solve of the Poisson equation
 (I - P + 1 e_0^T) h = r, which also reads P row by row, and is certified by
 Odoni's interval: for any h, pi.r lies between the least and greatest entry
-of r + P h - h (`long_run_interval`). A solve that met tol on its recursive
-residual but left the interval wider than tol is restarted once from its
-true residual. A chain whose interval is still wider than tol gets one
-GMRES solve of the same system, preconditioned by an incomplete LU factor
-(`_ilu_gmres_solve`), the only step that imports `scipy.sparse`, and raises
-NonConvergenceError if that interval is too wide as well.
+of r + P h - h (`long_run_interval`). A chain whose interval is wider than
+tol gets one GMRES solve of the same system, preconditioned by an
+incomplete LU factor (`_ilu_gmres_solve`), the only step that imports
+`scipy.sparse`, and raises NonConvergenceError if that interval is too wide
+as well.
 
 Every product with P outside that step goes through `_products`, which
 calls SciPy's compiled `csr_matvec` on the kernel's CSR arrays: on a P of at
@@ -176,20 +175,17 @@ def _check_tol(tol: float) -> None:
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
 
 
-def _poisson_solve(
-    kernel: TransitionKernel, tol: float, h: np.ndarray | None = None
-) -> tuple[np.ndarray, bool]:
-    """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB, and whether it met tol.
+def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
+    """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB.
 
     The exact solution has h[0] = pi.r and r + P h - h = h[0] everywhere, so
     the smaller h's residual, the narrower its Odoni interval. The iteration
     is van der Vorst's (SIAM J. Sci. Stat. Comput. 13, 1992) as SciPy's
-    `bicgstab` runs it, from h = 0, or from the given h with residual
-    r - A h, until the residual's 2-norm is at most tol / 4, a breakdown,
-    or MAX_KRYLOV_ITERS iterations; the flag is True only in the first case.
-    The residual is updated by recursion, which drifts from the true one,
-    so a solve that met tol may still leave a wide interval. The returned h
-    may be anything, NaN included, as only its interval is trusted. The
+    `bicgstab` runs it, from h = 0 until the residual's 2-norm is at most
+    tol / 4, a breakdown, or MAX_KRYLOV_ITERS iterations. The residual is
+    updated by recursion, which drifts from the true one, so a solve that
+    met tol may still leave a wide interval. The returned h may be
+    anything, NaN included, as only its interval is trusted. The
     mat-vec reads P row by row, split over two threads on a large P
     (`_products`). Inner products use `np.einsum`, not BLAS:
     OpenBLAS splits a dot product of over 10,000 entries across two
@@ -213,17 +209,11 @@ def _poisson_solve(
     direction, v = np.zeros_like(r), np.zeros_like(r)
     rho_prev = alpha = omega = 1.0
     stop = (tol / 4) ** 2
+    h, res, shadow = np.zeros_like(r), r.copy(), r.copy()
     with _products(kernel) as product, np.errstate(all="ignore"):
-        if h is None:
-            h, res = np.zeros_like(r), r.copy()
-        else:
-            h, res = h.copy(), r - a(h)
-        shadow = res.copy()
         for _ in range(MAX_KRYLOV_ITERS):
             rho = dot(shadow, res)
-            if dot(res, res) <= stop:
-                return h, True
-            if abs(rho) < tiny or abs(omega) < tiny:
+            if dot(res, res) <= stop or abs(rho) < tiny or abs(omega) < tiny:
                 break
             direction -= omega * v
             direction *= (rho / rho_prev) * (alpha / omega)
@@ -233,13 +223,13 @@ def _poisson_solve(
             s = res - alpha * v
             h += alpha * direction
             if dot(s, s) <= stop:
-                return h, True
+                break
             t = a(s)
             omega = dot(t, s) / dot(t, t)
             h += omega * s
             res = s - omega * t
             rho_prev = rho
-    return h, False
+    return h
 
 
 def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, float]:
@@ -309,18 +299,15 @@ def _ilu_gmres_solve(kernel: TransitionKernel, tol: float) -> tuple[np.ndarray, 
 def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
     """The chain's long-run value pi.r, certified by Odoni's interval.
 
-    A BiCGSTAB solve that met tol on its drifted residual but left the
-    interval wider than tol is restarted once from its h; one that broke
-    down or ran out of iterations is not. A chain still wider than tol gets
-    one ILU-GMRES solve, if its factor fits ILU_FILL_FACTOR x (nonzeros +
-    2N) x 12 bytes within KERNEL_BYTES_GUARD. LB reports the interval's low
-    end and UB its high end, so each bound errs only on its own safe side.
-    An interval still wider than tol raises NonConvergenceError.
+    One BiCGSTAB solve comes first. A chain whose interval it leaves wider
+    than tol, whether its solve met tol on the drifted residual, broke down
+    or ran out of iterations, gets one ILU-GMRES solve, if its factor fits
+    ILU_FILL_FACTOR x (nonzeros + 2N) x 12 bytes within KERNEL_BYTES_GUARD.
+    LB reports the interval's low end and UB its high end, so each bound
+    errs only on its own safe side. An interval still wider than tol raises
+    NonConvergenceError.
     """
-    h, met_tol = _poisson_solve(kernel, tol)
-    lo, hi = long_run_interval(kernel, h)
-    if hi - lo > tol and met_tol:
-        lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol, h)[0])
+    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
     if hi - lo > tol:
         factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * len(kernel.r)) * 12
         iterations = 0

@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:
-        print(f"error: {exc} (residual {exc.residual:.3e})", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

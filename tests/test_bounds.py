@@ -167,17 +167,6 @@ class TestStationary:
         with pytest.raises(ConfigurationError, match="finite and positive"):
             stationary(two_state_lb, tol=tol)
 
-    def test_nan_fallback_fails_the_interval_check(self, monkeypatch):
-        # BiCGSTAB gives up at once and ILU-GMRES returns NaN, which lies in
-        # no interval narrower than [min r, max r]
-        monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
-        monkeypatch.setattr(
-            cusketch.bounds, "_ilu_gmres_solve",
-            lambda kernel, tol: (np.full(len(kernel.r), np.nan), 7),
-        )
-        with pytest.raises(NonConvergenceError, match="wide > tol 1.0e-12 after 7 ILU-GMRES"):
-            asymptotic_error(4, 2, 2, "lb")
-
     def test_unreachable_tol_stops_at_rounding_floor(self):
         # |lambda_2| = 0.8149 on this chain, so from the start state the
         # residual reaches the 8 eps floor after about log(8 eps) / log 0.8149
@@ -188,35 +177,20 @@ class TestStationary:
         assert exc.value.iterations <= 200
         assert 1e-300 < exc.value.residual <= 1e-15
 
-    @pytest.mark.parametrize("m", range(2, 13))
-    def test_long_run_interval_holds_the_stationary_value(self, m):
-        # every d and g <= 3, LB then UB: the Poisson solve certifies each
-        # chain, and its interval holds pi.r from the dense balance solution
-        for d in range(1, m + 1):
-            for g in (1, 2, 3):
-                kernel = build_kernel(enumerate_states(m, d, g), "lb")
-                for variant in ("lb", "ub"):
-                    if variant == "ub":
-                        retarget_capped(kernel)
-                    h, _ = _poisson_solve(kernel, 1e-12)
-                    lo, hi = long_run_interval(kernel, h)
-                    value = float(_balance_solution(kernel) @ kernel.r)
-                    assert hi - lo <= 1e-10 and lo <= value <= hi, (m, d, g, variant)
-
 
 def _no_ilu_gmres(kernel, tol):
     raise AssertionError("the long-run solve went on to ILU-GMRES")
 
 
-def _ilu_gmres_spy(monkeypatch):
-    """Record the variant of each chain that goes on to ILU-GMRES, which still runs."""
-    calls, real = [], cusketch.bounds._ilu_gmres_solve
+def _solver_spy(monkeypatch, name="_ilu_gmres_solve"):
+    """Record the variant of each chain passed to the solver `name`, which still runs."""
+    calls, real = [], getattr(cusketch.bounds, name)
 
     def spy(kernel, tol):
         calls.append(kernel.variant)
         return real(kernel, tol)
 
-    monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", spy)
+    monkeypatch.setattr(cusketch.bounds, name, spy)
     return calls
 
 
@@ -260,17 +234,58 @@ class TestAsymptotic:
         [(lo, hi)] = intervals
         assert hi - lo <= 1e-12 and value == (lo if variant == "lb" else hi)
 
-    def test_g3_needs_no_arpack(self, monkeypatch, intervals):
-        # the benchmark chains are certified by BiCGSTAB alone: no second
-        # solver runs, ILU-GMRES now as ARPACK before it, and each bound is
-        # the end of its interval on its own safe side
+    def test_g3_needs_only_bicgstab(self, monkeypatch, intervals):
+        # the benchmark chains are certified by one BiCGSTAB solve each: no
+        # second solve runs, and each bound is the end of its interval on
+        # its own safe side
         monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", _no_ilu_gmres)
+        solves = _solver_spy(monkeypatch, "_poisson_solve")
         chains = chain_values(50, 4, 3, None)
+        assert solves == ["lb", "ub"]
         assert abs(chains["lb"].value - self.LIMITS[3][0]) <= 1e-9
         assert abs(chains["ub"].value - self.LIMITS[3][1]) <= 1e-9
         (lb_lo, lb_hi), (ub_lo, ub_hi) = intervals
         assert lb_hi - lb_lo <= 1e-12 and ub_hi - ub_lo <= 1e-12
         assert (chains["lb"].value, chains["ub"].value) == (lb_lo, ub_hi)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_one_solve_of_each_kind_per_chain(self, monkeypatch, m):
+        # every d and g <= 3: one BiCGSTAB solve per chain, and at most one
+        # ILU-GMRES solve
+        solves = _solver_spy(monkeypatch, "_poisson_solve")
+        fallbacks = _solver_spy(monkeypatch)
+        for d in range(1, m + 1):
+            for g in (1, 2, 3):
+                solves.clear()
+                fallbacks.clear()
+                chain_values(m, d, g, None)
+                assert solves == ["lb", "ub"], (m, d, g)
+                assert fallbacks in ([], ["lb"], ["ub"], ["lb", "ub"]), (m, d, g)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_long_run_interval_holds_the_stationary_value(self, m):
+        # every d and g <= 3, LB then UB: the Poisson solve certifies each
+        # chain, and its interval holds pi.r from the dense balance solution
+        for d in range(1, m + 1):
+            for g in (1, 2, 3):
+                kernel = build_kernel(enumerate_states(m, d, g), "lb")
+                for variant in ("lb", "ub"):
+                    if variant == "ub":
+                        retarget_capped(kernel)
+                    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, 1e-12))
+                    value = float(_balance_solution(kernel) @ kernel.r)
+                    assert hi - lo <= 1e-10 and lo <= value <= hi, (m, d, g, variant)
+
+    def test_nan_fallback_fails_the_interval_check(self, monkeypatch):
+        # BiCGSTAB gives up at once and ILU-GMRES returns NaN, which lies in
+        # no interval narrower than [min r, max r]
+        monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
+        monkeypatch.setattr(
+            cusketch.bounds, "_ilu_gmres_solve",
+            lambda kernel, tol: (np.full(len(kernel.r), np.nan), 7),
+        )
+        with pytest.raises(NonConvergenceError, match="wide > tol 1.0e-12 after 7 ILU-GMRES"):
+            asymptotic_error(4, 2, 2, "lb")
 
     @pytest.mark.parametrize("variant", ["lb", "ub"])
     @pytest.mark.parametrize(
@@ -297,34 +312,16 @@ class TestAsymptotic:
         def stationary(kernel, tol=1e-12):
             raise AssertionError("the long-run solve ran power iteration")
 
-        calls = _ilu_gmres_spy(monkeypatch)
+        calls = _solver_spy(monkeypatch)
         monkeypatch.setattr(cusketch.bounds, "stationary", stationary)
         assert asymptotic_error(200, 3, 1, "lb") == 0.0025625508887305998
         (lo, hi), (ilu_lo, ilu_hi) = intervals
         assert calls == ["lb"] and hi - lo > 1e-12 >= ilu_hi - ilu_lo
         assert ilu_lo <= 0.0025625508887330852 <= ilu_hi
 
-    @pytest.mark.parametrize(
-        "m, d, g, variant, expected",
-        [
-            (17, 8, 3, "ub", 0.20112351583230614),
-            (20, 4, 3, "ub", 0.09728362530670004),
-            (20, 11, 4, "lb", 0.22544910332076898),
-        ],
-    )
-    def test_drifted_solve_is_restarted_once(
-        self, monkeypatch, intervals, m, d, g, variant, expected
-    ):
-        # BiCGSTAB's recursive residual meets tol / 4 while the true one does
-        # not; one restart from r - A h certifies the chain, with no ILU-GMRES
-        monkeypatch.setattr(cusketch.bounds, "_ilu_gmres_solve", _no_ilu_gmres)
-        assert abs(asymptotic_error(m, d, g, variant) - expected) <= 1e-12
-        (lo, hi), (restart_lo, restart_hi) = intervals
-        assert hi - lo > 1e-12 >= restart_hi - restart_lo
-
-    def test_solve_out_of_iterations_is_not_restarted(self, monkeypatch, intervals):
+    def test_solve_out_of_iterations_goes_to_ilu_gmres(self, monkeypatch, intervals):
         # BiCGSTAB stops after 5 iterations, and the chain goes to ILU-GMRES
-        calls = _ilu_gmres_spy(monkeypatch)
+        calls = _solver_spy(monkeypatch)
         monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 5)
         assert abs(asymptotic_error(17, 8, 3, "ub") - 0.20112351583230614) <= 1e-12
         (lo, hi), (ilu_lo, ilu_hi) = intervals
@@ -357,29 +354,36 @@ class TestAsymptotic:
         kernel = build_kernel(enumerate_states(200, 3, 1), "lb")
         assert intervals[-1] == (kernel.r.min(), kernel.r.max())
 
-    # Logged LB chains that BiCGSTAB leaves wide, with the value power
-    # iteration from an ARPACK start gave them before ILU-GMRES replaced it.
+    # Logged chains that BiCGSTAB leaves wide, with the value each had before
+    # ILU-GMRES certified it: for the LB chains that BiCGSTAB breaks down or
+    # runs out of iterations on, power iteration from an ARPACK start; for
+    # the last three, whose recursive residual meets tol / 4 while the true
+    # one does not, BiCGSTAB restarted once from r - A h.
     UNCERTIFIED = [
-        (200, 3, 1, 0.0025625508887330852),
-        (100, 1, 2, 0.003474864311339029),
-        (100, 2, 2, 0.0068737991788279445),
-        (200, 3, 2, 0.0046272660058910798),
-        (50, 2, 3, 0.019345062793275882),
+        (200, 3, 1, 0.0025625508887330852, "lb"),
+        (100, 1, 2, 0.003474864311339029, "lb"),
+        (100, 2, 2, 0.0068737991788279445, "lb"),
+        (200, 3, 2, 0.0046272660058910798, "lb"),
+        (50, 2, 3, 0.019345062793275882, "lb"),
+        (17, 8, 3, 0.20112351583230614, "ub"),
+        (20, 4, 3, 0.09728362530670004, "ub"),
+        (20, 11, 4, 0.22544910332076898, "lb"),
     ]
     UNCERTIFIED_SLOW = [
-        pytest.param(100, 1, 3, 0.0046047723480655148, marks=pytest.mark.slow),
-        pytest.param(100, 4, 3, 0.016623095020482297, marks=pytest.mark.slow),
+        pytest.param(100, 1, 3, 0.0046047723480655148, "lb", marks=pytest.mark.slow),
+        pytest.param(100, 4, 3, 0.016623095020482297, "lb", marks=pytest.mark.slow),
     ]
 
-    @pytest.mark.parametrize("m, d, g, power_value", UNCERTIFIED + UNCERTIFIED_SLOW)
+    @pytest.mark.parametrize("m, d, g, old_value, variant", UNCERTIFIED + UNCERTIFIED_SLOW)
     def test_ilu_gmres_certifies_the_logged_chains(
-        self, monkeypatch, intervals, m, d, g, power_value
+        self, monkeypatch, intervals, m, d, g, old_value, variant
     ):
-        calls = _ilu_gmres_spy(monkeypatch)
-        value = asymptotic_error(m, d, g, "lb")
+        calls = _solver_spy(monkeypatch)
+        value = asymptotic_error(m, d, g, variant)
         lo, hi = intervals[-1]
-        assert calls == ["lb"] and hi - lo <= 1e-12 and value == lo
-        assert lo <= power_value <= hi
+        assert calls == [variant] and hi - lo <= 1e-12
+        assert value == (lo if variant == "lb" else hi)
+        assert lo <= old_value <= hi
 
     def test_two_state_limits(self):
         assert asymptotic_error(3, 2, 1, "lb") == pytest.approx(2 / 5, abs=1e-10)
