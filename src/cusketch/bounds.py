@@ -10,10 +10,10 @@ vector. It comes from a BiCGSTAB solve of the Poisson equation
 (I - P + 1 e_0^T) h = r, which also reads P row by row, and is certified by
 Odoni's interval: for any h, pi.r lies between the least and greatest entry
 of r + P h - h (`long_run_interval`). A chain whose interval is wider than
-tol gets one GMRES solve of the same system, preconditioned by an
-incomplete LU factor (`_ilu_gmres_solve`), the only step that imports
-`scipy.sparse`, and raises NonConvergenceError if that interval is too wide
-as well.
+tol gets one more BiCGSTAB solve of the same system, right-preconditioned
+by an incomplete LU factor (`_ilu_solve`, the only step that imports
+`scipy.sparse`), and raises NonConvergenceError if that interval is too
+wide as well.
 
 Every product with P outside that step goes through `_products`, which
 calls SciPy's compiled `csr_matvec` on the kernel's CSR arrays: on a P of at
@@ -56,17 +56,15 @@ MAX_POWER_ITERS = 10**6
 # BiCGSTAB iterations (two mat-vecs each) before one Poisson solve gives up.
 # The m=50, d=4, g=3 chains need 134 (LB) and 111 (UB).
 MAX_KRYLOV_ITERS = 1000
-# `_ilu_gmres_solve`'s incomplete LU (drop tolerance, fill bound over the
-# nonzeros of I - P + 1 e_0^T, column order) and GMRES restart length. On the
-# LB chains BiCGSTAB leaves wide, GMRES then needs 10-16 iterations. In
-# natural (lexicographic) state order (100,4,3) LB factored in 3.5 s at
-# (1e-5, 10), in COLAMD's in 22 s. (1e-4, 10) factored (100,1,3) and
-# (100,4,3) LB in 1.0 and 2.6 s, (1e-3, 10) in 8.6 and 1.5 s, and a fill
-# bound of 5 took 23-38 s.
+# `_ilu_solve`'s incomplete LU (drop tolerance, fill bound over the nonzeros
+# of I - P + 1 e_0^T, column order), which right-preconditions BiCGSTAB on
+# the LB chains that plain BiCGSTAB leaves wide. In natural (lexicographic)
+# state order (100,4,3) LB factored in 3.5 s at (1e-5, 10), in COLAMD's in
+# 22 s. (1e-4, 10) factored (100,1,3) and (100,4,3) LB in 1.0 and 2.6 s,
+# (1e-3, 10) in 8.6 and 1.5 s, and a fill bound of 5 took 23-38 s.
 ILU_DROP_TOL = 1e-4
 ILU_FILL_FACTOR = 10
 ILU_ORDER = "NATURAL"
-GMRES_RESTART = 50
 # Nonzeros of P from which `_products` splits each mat-vec by rows over two
 # threads. On a 2-core Xeon, against one thread, a split step took 1.29x as
 # long at m=50, d=4, g=3 (207k nonzeros), where the hand-off costs more than
@@ -154,17 +152,13 @@ def stationary(kernel: TransitionKernel, tol: float = 1e-12) -> np.ndarray:
         if residual <= RESIDUAL_FLOOR * pi.max():
             raise NonConvergenceError(
                 f"power iteration residual {residual:.3e} > tol {tol:.1e} "
-                f"is at the float64 rounding floor after {it + 1} iterations",
-                residual=residual,
-                iterations=it + 1,
+                f"is at the float64 rounding floor after {it + 1} iterations"
             )
         pi = nxt
     else:
         raise NonConvergenceError(
             f"power iteration residual {residual:.3e} > tol {tol:.1e} "
-            f"after {MAX_POWER_ITERS} iterations",
-            residual=residual,
-            iterations=MAX_POWER_ITERS,
+            f"after {MAX_POWER_ITERS} iterations"
         )
     return pi
 
@@ -175,7 +169,9 @@ def _check_tol(tol: float) -> None:
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
 
 
-def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
+def _poisson_solve(
+    kernel: TransitionKernel, tol: float, precondition: Callable | None = None
+) -> np.ndarray:
     """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB.
 
     The exact solution has h[0] = pi.r and r + P h - h = h[0] everywhere, so
@@ -192,6 +188,12 @@ def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
     threads, and with the second core busy that made `bicgstab`'s m=50, d=4,
     g=3 LB solve take 1-6 s instead of 0.1 s. BiCGSTAB on the transposed
     system for pi breaks down on many chains with d <= 3.
+
+    `precondition`, if given, maps a vector x to M^-1 x for a preconditioner
+    M of the system, applied on the right as `bicgstab` applies its M: each
+    search direction and each s is mapped before its mat-vec and its update
+    of h, so the residual stays that of the unpreconditioned system. Without
+    it, the iteration is the unpreconditioned one, bit for bit.
     """
     r = kernel.r
     tiny = np.finfo(float).eps ** 2  # `bicgstab`'s breakdown threshold
@@ -218,15 +220,17 @@ def _poisson_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
             direction -= omega * v
             direction *= (rho / rho_prev) * (alpha / omega)
             direction += res
-            v = a(direction)
+            d_hat = direction if precondition is None else precondition(direction)
+            v = a(d_hat)
             alpha = rho / dot(shadow, v)
             s = res - alpha * v
-            h += alpha * direction
+            h += alpha * d_hat
             if dot(s, s) <= stop:
                 break
-            t = a(s)
+            s_hat = s if precondition is None else precondition(s)
+            t = a(s_hat)
             omega = dot(t, s) / dot(t, t)
-            h += omega * s
+            h += omega * s_hat
             res = s - omega * t
             rho_prev = rho
     return h
@@ -266,16 +270,15 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     return (e_lo if e_lo > lo else lo), (e_hi if e_hi < hi else hi)
 
 
-def _ilu_gmres_solve(kernel: TransitionKernel, tol: float) -> tuple[np.ndarray, int]:
-    """An approximate solution h of `_poisson_solve`'s system by ILU-GMRES, and its iterations.
+def _ilu_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
+    """An approximate solution h of `_poisson_solve`'s system by ILU-preconditioned BiCGSTAB.
 
     SuperLU's threshold incomplete LU (`spilu`; Saad, Iterative Methods for
-    Sparse Linear Systems, 2003, ch. 10) preconditions restarted GMRES
-    (ibid., sec. 6.5), run from h = 0 until the true residual's 2-norm is at
-    most tol / 4, for MAX_KRYLOV_ITERS iterations at most (one cycle at
-    least). Only h's interval is trusted, so a zero pivot gives NaN. The
-    import is here, not with the module: `scipy.sparse.linalg` loads SciPy's
-    own OpenBLAS, about 10 MB of peak RSS that BiCGSTAB's chains never use.
+    Sparse Linear Systems, 2003, ch. 10) of I - P + 1 e_0^T right-
+    preconditions `_poisson_solve`. Only h's interval is trusted, so a zero
+    pivot gives NaN. The import is here, not with the module:
+    `scipy.sparse.linalg` loads SciPy's own OpenBLAS, about 10 MB of peak
+    RSS that plain BiCGSTAB's chains never use.
     """
     import scipy.sparse
     import scipy.sparse.linalg as sla
@@ -286,14 +289,8 @@ def _ilu_gmres_solve(kernel: TransitionKernel, tol: float) -> tuple[np.ndarray, 
     try:
         ilu = sla.spilu(a, ILU_DROP_TOL, ILU_FILL_FACTOR, permc_spec=ILU_ORDER)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return np.full(n, np.nan), 0
-    steps: list[float] = []
-    h, _ = sla.gmres(
-        a, kernel.r, M=sla.LinearOperator((n, n), ilu.solve), rtol=0.0, atol=tol / 4,
-        restart=GMRES_RESTART, maxiter=max(1, MAX_KRYLOV_ITERS // GMRES_RESTART),
-        callback=steps.append, callback_type="pr_norm",
-    )
-    return h, len(steps)
+        return np.full(n, np.nan)
+    return _poisson_solve(kernel, tol, ilu.solve)
 
 
 def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
@@ -301,25 +298,24 @@ def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
 
     One BiCGSTAB solve comes first. A chain whose interval it leaves wider
     than tol, whether its solve met tol on the drifted residual, broke down
-    or ran out of iterations, gets one ILU-GMRES solve, if its factor fits
-    ILU_FILL_FACTOR x (nonzeros + 2N) x 12 bytes within KERNEL_BYTES_GUARD.
-    LB reports the interval's low end and UB its high end, so each bound
-    errs only on its own safe side. An interval still wider than tol raises
-    NonConvergenceError.
+    or ran out of iterations, gets a second BiCGSTAB solve, right-
+    preconditioned by an incomplete LU factor (`_ilu_solve`), if that
+    factor fits ILU_FILL_FACTOR x (nonzeros + 2N) x 12 bytes within
+    KERNEL_BYTES_GUARD. LB reports the interval's low end and UB its high
+    end, so each bound errs only on its own safe side. An interval still
+    wider than tol raises NonConvergenceError.
     """
     lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
     if hi - lo > tol:
         factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * len(kernel.r)) * 12
-        iterations = 0
         how = f"after BiCGSTAB; its ILU factor could need {factor_bytes} B, over the guard"
         if factor_bytes <= KERNEL_BYTES_GUARD:
-            h, iterations = _ilu_gmres_solve(kernel, tol)
-            lo, hi = long_run_interval(kernel, h)
-            how = f"after {iterations} ILU-GMRES iterations"
+            lo, hi = long_run_interval(kernel, _ilu_solve(kernel, tol))
+            how = "after ILU-preconditioned BiCGSTAB"
         if hi - lo > tol:
             raise NonConvergenceError(
                 f"the {kernel.variant} chain's long-run interval is {hi - lo:.3e} wide "
-                f"> tol {tol:.1e} {how}", residual=hi - lo, iterations=iterations,
+                f"> tol {tol:.1e} {how}"
             )
     return lo if kernel.variant == "lb" else hi
 

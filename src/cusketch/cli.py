@@ -358,8 +358,9 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--tol", type=float, default=1e-12,
         help="largest width of a limit's certified interval; a chain that "
-        "BiCGSTAB leaves wider gets one ILU-preconditioned GMRES solve, and one "
-        "still wider exits with code 2 (default: %(default)s)",
+        "BiCGSTAB leaves wider gets a second BiCGSTAB solve, right-preconditioned "
+        "by an incomplete LU factor, and one still wider exits with code 2 "
+        "(default: %(default)s)",
     )
     p.set_defaults(func=_cmd_asymptotic)
 

@@ -8,15 +8,11 @@ class ConfigurationError(ValueError):
 class NonConvergenceError(RuntimeError):
     """The long-run solve failed to reach the requested tolerance.
 
-    `residual` is the certified interval's width and `iterations` are
-    ILU-GMRES's, 0 if its factor would pass its budget (`stationary`'s are
-    its power-iteration residual and steps).
+    The message says by how much: the certified interval's width, and
+    whether the ILU-preconditioned BiCGSTAB solve ran or its factor would
+    pass its budget. `stationary`'s gives its power-iteration residual and
+    steps.
     """
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
 
 
 class InternalConsistencyError(RuntimeError):

@@ -98,9 +98,10 @@ class TransitionKernel:
         """P as a `scipy.sparse.csr_matrix` over the kernel's own arrays, made on each read.
 
         No array is copied, so a write through the view writes the kernel.
-        It is for readers off the hot path, such as the ILU-GMRES step of
-        the long-run solve, which factors I - P + 1 e_0^T; `scipy.sparse` is
-        imported on the first read, not with the module.
+        It is for readers off the hot path, such as the ILU step of the
+        long-run solve, which factors I - P + 1 e_0^T to precondition
+        BiCGSTAB; `scipy.sparse` is imported on the first read, not with the
+        module.
         """
         import scipy.sparse
 
