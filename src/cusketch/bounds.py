@@ -12,8 +12,9 @@ Odoni's interval: for any h, pi.r lies between the least and greatest entry
 of r + P h - h (`long_run_interval`). A chain whose interval is wider than
 tol gets one more BiCGSTAB solve of the same system, right-preconditioned
 by an incomplete LU factor (`_ilu_solve`, the only step that imports
-`scipy.sparse`), and raises NonConvergenceError if that interval is too
-wide as well.
+`scipy.sparse`) if it has at most ILU_MAX_STATES states, and raises
+NonConvergenceError if that interval is too wide as well or the step is
+not tried.
 
 Every product with P outside that step goes through `_products`, which
 calls SciPy's compiled `csr_matvec` on the kernel's CSR arrays: on a P of at
@@ -65,6 +66,11 @@ MAX_KRYLOV_ITERS = 1000
 ILU_DROP_TOL = 1e-4
 ILU_FILL_FACTOR = 10
 ILU_ORDER = "NATURAL"
+# States above which a chain goes without the ILU step: its factor's time
+# grows far faster than its bytes. (100,4,3) LB, 171,700 states, factored
+# in 2.6 s; (200,2,3) LB, 1,333,300 states, passed the byte budget but spent
+# about 20 minutes and 1.2 GB in `spilu` before it certified.
+ILU_MAX_STATES = 1 << 18
 # Nonzeros of P from which `_products` splits each mat-vec by rows over two
 # threads. On a 2-core Xeon, against one thread, a split step took 1.29x as
 # long at m=50, d=4, g=3 (207k nonzeros), where the hand-off costs more than
@@ -299,17 +305,21 @@ def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
     One BiCGSTAB solve comes first. A chain whose interval it leaves wider
     than tol, whether its solve met tol on the drifted residual, broke down
     or ran out of iterations, gets a second BiCGSTAB solve, right-
-    preconditioned by an incomplete LU factor (`_ilu_solve`), if that
-    factor fits ILU_FILL_FACTOR x (nonzeros + 2N) x 12 bytes within
-    KERNEL_BYTES_GUARD. LB reports the interval's low end and UB its high
-    end, so each bound errs only on its own safe side. An interval still
-    wider than tol raises NonConvergenceError.
+    preconditioned by an incomplete LU factor (`_ilu_solve`), if the chain
+    has at most ILU_MAX_STATES states and that factor fits ILU_FILL_FACTOR
+    x (nonzeros + 2N) x 12 bytes within KERNEL_BYTES_GUARD. LB reports the
+    interval's low end and UB its high end, so each bound errs only on its
+    own safe side. An interval still wider than tol raises
+    NonConvergenceError.
     """
     lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
     if hi - lo > tol:
-        factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * len(kernel.r)) * 12
+        states = len(kernel.r)
+        factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * states) * 12
         how = f"after BiCGSTAB; its ILU factor could need {factor_bytes} B, over the guard"
-        if factor_bytes <= KERNEL_BYTES_GUARD:
+        if states > ILU_MAX_STATES:
+            how = f"after BiCGSTAB; its {states} states are over the ILU step's cap of {ILU_MAX_STATES}"
+        elif factor_bytes <= KERNEL_BYTES_GUARD:
             lo, hi = long_run_interval(kernel, _ilu_solve(kernel, tol))
             how = "after ILU-preconditioned BiCGSTAB"
         if hi - lo > tol:

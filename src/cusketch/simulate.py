@@ -1,16 +1,18 @@
 """Seeded Monte-Carlo engine and the exact oracle.
 
 Every simulated trajectory is drawn by `_draws`, in blocks of at most
-`_BLOCK_STEPS` steps, so memory stays bounded on any horizon. `_step_rows`
-picks the stepper for a block of runs: `_run_steps` advances one list of
-counters in pure Python, at about 1.2 us a step; `_run_rows` advances the
-runs together, as the columns of one (m x runs) array, one NumPy pass per
-step of 9-17 us at up to 20 runs and about 36 us at 500 (m=50, d=4). Both
-apply the same CU, LB or UB rule, and `_run_rows` can give each run its
-own rule and cap: sandwich traces (`sandwich_traces`) step the five chains
-of many cases as the columns of one pass and compare adjacent chains after
-every step. The exact
-oracle, a walk over the sorted offset tuples that CU, LB or UB reach
+`_BLOCK_STEPS` steps, so memory stays bounded on any horizon. A group of
+runs fills one buffer of uniforms, and `_selections` decodes it by tracing
+each pick back through the earlier swaps of a partial Fisher-Yates
+shuffle, with no m-wide index pool. `_step_rows` picks the stepper for a
+block of runs: `_run_steps` advances one list of counters in pure Python,
+at about 1.2 us a step; `_run_rows` advances the runs together, as the
+columns of one (m x runs) array, one NumPy pass per step of 9-17 us at up
+to 20 runs and about 36 us at 500 (m=50, d=4). Both apply the same CU, LB
+or UB rule, and `_run_rows` can give each run its own rule and cap:
+sandwich traces (`sandwich_traces`) step the five chains of many cases as
+the columns of one pass and compare adjacent chains after every step. The
+exact oracle, a walk over the sorted offset tuples that CU, LB or UB reach
 (`exact_errors`), calls `_run_steps` directly.
 
 The estimation error of an absent item is never sampled: conditionally on
@@ -21,7 +23,9 @@ d-subset has the exact order-statistic form
         sum_{r=1}^{m-d+1} y_(r) * C(m-r, d-1) / C(m, d)
 
 with y_(1) <= ... <= y_(m) the ascending-sorted counters. Summing over
-sorted positions rather than distinct values makes ties a non-issue.
+sorted positions rather than distinct values makes ties a non-issue. The
+numerator is summed exactly: in int64 when it cannot overflow, on Python
+ints otherwise (`_numerators`).
 
 Reproducibility: every run r derives its own generator from the master
 seed through the splitmix64 finalizer applied to seed + r * golden-gamma,
@@ -56,10 +60,15 @@ _VARIANT_CODES = {"cu": _CU, "lb": _LB, "ub": _UB}
 # Steps drawn and decoded at a time: bounds the decoded selections' memory
 # on long trajectories while keeping NumPy's per-call cost negligible.
 _BLOCK_STEPS = 1024
-# Pool cells `_selections` decodes at a time, each of the smallest unsigned
-# dtype that holds m - 1: 1 MiB at m <= 256. A (1024, m) pool at m=200000
-# would take 0.8 GB.
+# Selection cells one group of runs holds at a time: a sandwich chunk's
+# (steps, d, chains) block and a worst-case probe's (items, d, runs)
+# subsets, each cell of the smallest unsigned dtype that holds m - 1.
 _DECODE_CELLS = 1 << 20
+# Uniform cells `_draws` fills and decodes at a time (128 KiB of doubles):
+# big enough that a group's one `_selections` call outweighs NumPy's per-call
+# cost, small enough for `estimate_error`'s tracemalloc peak (2^15 cells
+# raised it from 2.2 to 2.5 MiB at m=50, d=4, T=250).
+_DRAW_CELLS = 1 << 14
 # `_step_rows` steps fewer runs than this one by one through `_run_steps`,
 # and more together through `_run_rows`. A `_run_rows` pass costs 9-17 us at
 # up to 20 runs (m=8/d=2 to m=50/d=4), against 0.6-1.3 us per run-step for
@@ -70,11 +79,12 @@ _DECODE_CELLS = 1 << 20
 # took 1.12 s batched against 0.09 s alone (2-core Xeon, NumPy 2.4).
 _MIN_BATCH_RUNS = 16
 # Runs stepped together by one `_run_rows` call. At m=50, d=4, T=250 and
-# 2000 runs, `estimate_error` took 0.21/0.16/0.14/0.12/0.12 s in blocks of
-# 64/128/256/512/1000 runs, with tracemalloc peaks of 0.5/0.7/1.1/2.0/3.7 MB;
-# the `simulate` command's peak RSS read 37.7/37.9/38.1/39.2/40.8 MB. The
-# run-by-run loop took 0.59 s. 512 is within 5% of 1000's time at half its
-# added memory.
+# 2000 runs, `estimate_error` took 0.148/0.102/0.079/0.069/0.069 s in blocks
+# of 64/128/256/512/1000 runs, with tracemalloc peaks of
+# 0.5/0.7/1.1/1.9/3.4 MiB; the `simulate` command's peak RSS read
+# 37.9/37.9/38.4/39.2/40.4 MiB (medians of 9, 2-core Xeon, NumPy 2.4).
+# 2000 `run_trajectory` calls, one run each, took 0.92 s. 512 matches
+# 1000's time at half its added memory.
 _BATCH_RUNS = 512
 # The chains a sandwich trace steps: LB(g), LB(g+1), CU, UB(g+1), UB(g).
 _CHAINS = 5
@@ -189,6 +199,22 @@ def _expected_min_numerator(values: Sequence[int], d: int) -> int:
     return sum(map(operator.mul, sorted(map(int, values)), _order_weights(len(values), d)))
 
 
+def _numerators(ordered: np.ndarray, d: int) -> list[int]:
+    """`_expected_min_numerator` of each column of the (m, R) counters, sorted along axis 0.
+
+    One int64 product of the weights with the smallest m - d + 1 rows when
+    no sum can pass 2^63: every term is nonnegative and the weights sum to
+    C(m, d), so max(counter) * C(m, d) bounds each partial sum. A zero
+    maximum counts as 1, so that each weight fits int64 as well. Otherwise
+    column by column on Python ints.
+    """
+    m = len(ordered)
+    if max(1, int(ordered[-1].max())) * math.comb(m, d) < 2**63:
+        weights = np.array(_order_weights(m, d), dtype=np.int64)
+        return (weights @ ordered[: m - d + 1]).tolist()
+    return [_expected_min_numerator(column, d) for column in ordered.T.tolist()]
+
+
 @functools.lru_cache(maxsize=8)
 def _order_weights(m: int, d: int) -> tuple[int, ...]:
     """C(m - r, d - 1) for sorted positions r = 1 .. m - d + 1."""
@@ -196,27 +222,30 @@ def _order_weights(m: int, d: int) -> tuple[int, ...]:
 
 
 def _selections(u: np.ndarray, m: int) -> np.ndarray:
-    """Decode each row of a (T, d) uniform array into d distinct counter indices.
+    """Decode each (..., d) row of uniforms into d distinct counter indices.
 
-    Partial Fisher-Yates shuffle, vectorized over the rows, with the index
-    arithmetic of `uniform_select`: row t gives the subset `uniform_select`
-    draws from the same d doubles (unsorted). Each row needs a working pool
-    of m indices, so rows are decoded at most `_DECODE_CELLS` pool cells at
-    a time, and only the (T, d) selections are kept. Indices are held in the
-    smallest unsigned dtype that holds m - 1.
+    The partial Fisher-Yates shuffle of `uniform_select`, vectorized over
+    the rows: row t gives the subset `uniform_select` draws from the same d
+    doubles (unsorted). Pick j is the pool entry at r_j = j + floor(u_j (m - j))
+    (clipped to m - 1) after swaps 0 .. j - 1, and swap k exchanges
+    positions k and r_k. So the pick is found by tracing r_j back through
+    the earlier swaps, latest first: a position equal to r_k came from k.
+    A traced position never falls to k itself, since it stays above every
+    earlier swap's own index. That is d^2 / 2 passes over the (..., d)
+    rows, with no m-wide pool. Indices are held in the smallest unsigned
+    dtype that holds m - 1; any leading shape is kept.
     """
-    T, d = u.shape
-    chunk = max(1, _DECODE_CELLS // m)
-    if T > chunk:
-        return np.concatenate([_selections(u[i : i + chunk], m) for i in range(0, T, chunk)])
-    rows = np.arange(T)
-    pool = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (T, 1))
+    d = u.shape[-1]
+    dtype = np.min_scalar_type(m - 1)
+    # floor(min(x, c)) = min(floor(x), c) for an integer c; the cast floors x >= 0
+    r = [np.minimum(u[..., j] * (m - j), m - j - 1).astype(dtype) + dtype.type(j) for j in range(d)]
+    sel = np.empty(u.shape, dtype=dtype)
     for j in range(d):
-        r = j + np.minimum((u[:, j] * (m - j)).astype(np.int64), m - j - 1)
-        picked = pool[rows, r]
-        pool[rows, r] = pool[:, j]
-        pool[:, j] = picked
-    return pool[:, :d].copy()  # not a view that would keep the pool alive
+        pos = r[j]
+        for k in range(j - 1, -1, -1):
+            pos = np.where(pos == r[k], dtype.type(k), pos)
+        sel[..., j] = pos
+    return sel
 
 
 def _run_steps(
@@ -317,17 +346,24 @@ def _run_rows(
 def _draws(seed: int, runs: range, T: int, m: int, d: int) -> Iterator[np.ndarray]:
     """The T selections of each run, in (steps, d, runs) blocks of at most _BLOCK_STEPS steps.
 
-    Each run draws from its own substream; several runs are decoded together.
-    The indices keep `_selections`' dtype, the smallest unsigned one that holds m - 1.
+    Each run draws from its own substream. Runs are taken in groups of
+    about `_DRAW_CELLS` uniforms: each run of a group writes its (steps, d)
+    doubles into one reused (runs, steps, d) buffer, and the group is
+    decoded by one `_selections` call. The indices keep `_selections`'
+    dtype, the smallest unsigned one that holds m - 1.
     """
     rngs = [substream(seed, r) for r in runs]
     for start in range(0, T, _BLOCK_STEPS):
         steps = min(_BLOCK_STEPS, T - start)
         sel = np.empty((steps, d, len(rngs)), dtype=np.min_scalar_type(m - 1))
-        group = max(1, _BLOCK_STEPS // steps)
+        group = max(1, _DRAW_CELLS // (steps * d))
+        buffer = np.empty((min(group, len(rngs)), steps, d))
         for i in range(0, len(rngs), group):
-            u = np.concatenate([rng.random((steps, d)) for rng in rngs[i : i + group]])
-            sel[..., i : i + group] = _selections(u, m).reshape(-1, steps, d).transpose(1, 2, 0)
+            part = rngs[i : i + group]
+            u = buffer[: len(part)]
+            for rng, row in zip(part, u):
+                rng.random(out=row)
+            sel[..., i : i + group] = _selections(u, m).transpose(1, 2, 0)
         yield sel
 
 
@@ -383,7 +419,9 @@ def estimate_error(config: SimConfig) -> SimStats:
     """Average the exact conditional errors over independent seeded runs.
 
     Each run's error is C(m, d)^-1 times the integer numerator of
-    `expected_min_over_subsets`, taken on Python ints from its sorted counters.
+    `expected_min_over_subsets`, summed exactly from its sorted counters
+    (`_numerators`: in int64 when no sum can overflow, on Python ints
+    otherwise), so every float is the one a Python-int sum gives.
     Runs are stepped in blocks of at most `_BATCH_RUNS`, and each step's
     clipped gaps are added to the histogram as they are yielded, so no
     (runs, T) gap trace is ever held.
@@ -400,9 +438,8 @@ def estimate_error(config: SimConfig) -> SimStats:
             for gaps in _step_rows(values, sel, variant, g):  # one step's gaps, or a block's
                 np.minimum(gaps, GAP_HISTOGRAM_LEVELS, out=gaps)  # last bin: larger gaps too
                 counts += np.bincount(gaps.ravel(), minlength=len(counts))
-        rows = np.sort(values, axis=0).T.tolist()  # sorted runs: the numerator's sort is a scan
-        errors += [_expected_min_numerator(row, d) / subsets / T for row in rows]
-        rates += [sum(row) / (T * m) for row in rows]
+        errors += [n / subsets / T for n in _numerators(np.sort(values, axis=0), d)]
+        rates += [total / (T * m) for total in values.sum(axis=0).tolist()]
 
     mean = math.fsum(errors) / len(errors)
     tails = np.cumsum(counts[::-1])[::-1].tolist()  # tails[level]: steps with gap >= level
@@ -494,7 +531,7 @@ def _sandwich_chunk(cases: Sequence[tuple[int, int, int, int, int]]) -> list[San
             if T > start:
                 mine = min(steps, T - start)
                 u[:mine, c, :d] = rng.random((mine, d))
-        sel = _selections(u.reshape(-1, width), m).reshape(steps, n, width).transpose(0, 2, 1)
+        sel = _selections(u, m).transpose(0, 2, 1)
         sel = np.where(padded, sel[:, :1], sel)
         for t, _ in enumerate(_run_rows(values, np.tile(sel, _CHAINS), variant, caps)):
             np.greater(chains[:, :-1], chains[:, 1:], out=bad)

@@ -52,3 +52,22 @@ def kernel_edges(kernel: TransitionKernel) -> Edges:
     v, c = (np.repeat(np.array(x, dtype=np.int32), sizes) for x in (v, c))
     src, dst, p, beta = map(np.concatenate, (src, dst, p, beta))
     return Edges(src, dst, v, c, p, beta)
+
+
+def pool_selections(u: np.ndarray, m: int) -> np.ndarray:
+    """Decode each row of a (T, d) uniform array into d distinct counter indices.
+
+    The partial Fisher-Yates shuffle of `uniform_select` on an explicit pool
+    of m indices per row, every swap carried out: the reference for the
+    package's trace-back decode. Indices are held in the smallest unsigned
+    dtype that holds m - 1.
+    """
+    T, d = u.shape
+    rows = np.arange(T)
+    pool = np.tile(np.arange(m, dtype=np.min_scalar_type(m - 1)), (T, 1))
+    for j in range(d):
+        r = j + np.minimum((u[:, j] * (m - j)).astype(np.int64), m - j - 1)
+        picked = pool[rows, r]
+        pool[rows, r] = pool[:, j]
+        pool[:, j] = picked
+    return pool[:, :d].copy()

@@ -391,8 +391,9 @@ class TestAsymptotic:
         kernel = build_kernel(enumerate_states(200, 3, 1), "lb")
         assert intervals[-1] == (kernel.r.min(), kernel.r.max())
 
-    # Logged chains that BiCGSTAB leaves wide, with the value each had before
-    # an ILU step certified it: for the LB chains that BiCGSTAB breaks down
+    # Logged chains that plain BiCGSTAB leaves wide and ILU-preconditioned
+    # BiCGSTAB certifies, with the value each had before an ILU step first
+    # certified it: for the LB chains that BiCGSTAB breaks down
     # or runs out of iterations on, power iteration from an ARPACK start; for
     # the last three, whose recursive residual meets tol / 4 while the true
     # one does not, BiCGSTAB restarted once from r - A h.
@@ -412,7 +413,7 @@ class TestAsymptotic:
     ]
 
     @pytest.mark.parametrize("m, d, g, old_value, variant", UNCERTIFIED + UNCERTIFIED_SLOW)
-    def test_ilu_gmres_certifies_the_logged_chains(
+    def test_ilu_bicgstab_certifies_the_logged_chains(
         self, monkeypatch, intervals, m, d, g, old_value, variant
     ):
         calls = _solver_spy(monkeypatch)

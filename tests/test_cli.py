@@ -1,5 +1,6 @@
 import collections
 import errno
+import hashlib
 import json
 import os
 import re
@@ -206,6 +207,21 @@ class TestAsymptotic:
         [width] = re.findall(pattern, err)
         assert err.count(width) == 1
 
+    def test_chain_over_the_ilu_state_cap_exits_without_the_step(self, capsys, monkeypatch):
+        # (200, 3, 1) LB, 198 states, is left wide by BiCGSTAB and reaches the ILU step
+        def ilu_solve(kernel, tol):
+            raise AssertionError("the long-run solve went on to the ILU step")
+
+        monkeypatch.setattr(cusketch.bounds, "ILU_MAX_STATES", 197)
+        monkeypatch.setattr(cusketch.bounds, "_ilu_solve", ilu_solve)
+        rc, out, err = run(
+            capsys, "asymptotic", "--m", "200", "--d", "3", "--g", "1", "--variant", "lb"
+        )
+        assert rc == EXIT_NO_CONVERGENCE and out == ""
+        assert err.endswith(
+            "after BiCGSTAB; its 198 states are over the ILU step's cap of 197\n"
+        )
+
     def test_internal_consistency_error_exit_code(self, capsys, monkeypatch):
         def long_run_value(kernel, tol):
             raise InternalConsistencyError("injected long-run fault")
@@ -294,6 +310,17 @@ class TestSimulate:
                 "9": "0", "10": "0",
             },
         }
+
+    def test_pinned_per_run_csv(self, capsys):
+        """Every run's error and counter rate, bit for bit: 600 runs cross a block boundary."""
+        rc, out, _ = run(
+            capsys, "simulate", "--m", "50", "--d", "4", "--t", "250",
+            "--runs", "600", "--seed", "1", "--format", "csv",
+        )
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b1f0d707c01bf299fea4cd6b2f027dd585779cb838914a967a60d5ea624a567e"
+        )
 
     def test_csv_per_run_rows(self, capsys):
         rc, out, _ = run(

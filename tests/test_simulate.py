@@ -20,6 +20,9 @@ from cusketch.simulate import (
     _VARIANT_CODES,
     GAP_HISTOGRAM_LEVELS,
     SimConfig,
+    _draws,
+    _expected_min_numerator,
+    _numerators,
     _run_rows,
     _run_steps,
     _selections,
@@ -44,6 +47,7 @@ from cusketch.sketch import (
     uniform_select,
     zero_counters,
 )
+from references import pool_selections
 
 
 class TestSubstreams:
@@ -276,12 +280,31 @@ class TestSelections:
         assert sel.shape == (1024, 2)
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize(
+        "m,d", [(2, 1), (3, 2), (5, 5), (8, 3), (10, 9), (50, 4), (300, 5)]
+    )
+    def test_trace_back_equals_the_pool_decode(self, m, d):
+        u = substream(9, m).random((2000, d))
+        u[0] = 0.0
+        u[1] = 1.0 - 2.0**-53  # u (m - j) rounds up to m - j: the clip picks the last entry
+        u[2, ::2] = 1.0 - 2.0**-53
+        expected = pool_selections(u, m)
+        decoded = _selections(u, m)
+        assert decoded.dtype == expected.dtype
+        assert np.array_equal(decoded, expected)
+        cube = _selections(u.reshape(4, 500, d), m)
+        assert cube.shape == (4, 500, d) and cube.dtype == expected.dtype
+        assert np.array_equal(cube.reshape(-1, d), expected)
+
     def test_chunked_decode_equals_one_shot(self, monkeypatch):
-        u = substream(4, 0).random((101, 3))
-        whole = _selections(u, 7)
-        assert whole.base is None  # not a view that keeps the (T, m) pool alive
-        monkeypatch.setattr(cusketch.simulate, "_DECODE_CELLS", 16)  # 2 rows a chunk
-        assert np.array_equal(_selections(u, 7), whole)
+        m, d, T, runs = 7, 3, 101, 23
+        [whole] = _draws(4, range(runs), T, m, d)  # every run in one group
+        u = np.stack([substream(4, r).random((T, d)) for r in range(runs)])  # (R, T, d)
+        expected = pool_selections(u.reshape(-1, d), m).reshape(runs, T, d).transpose(1, 2, 0)
+        assert whole.dtype == expected.dtype and np.array_equal(whole, expected)
+        monkeypatch.setattr(cusketch.simulate, "_DRAW_CELLS", 2 * T * d)  # 2 runs a group
+        [chunked] = _draws(4, range(runs), T, m, d)
+        assert chunked.dtype == whole.dtype and np.array_equal(chunked, whole)
 
     def test_blocked_trajectory_matches_one_decode(self):
         config = SimConfig(m=7, d=3, T=2500, runs=1, seed=5, variant="ub", g=2)
@@ -353,6 +376,23 @@ class TestEstimateError:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
+
+    @pytest.mark.parametrize("top", [5, 6])
+    def test_numerators_match_python_ints_on_both_sides_of_the_guard(self, top):
+        # C(64, 32) = 1.83e18: counters up to 5 keep 5 C(64, 32) < 2^63 and
+        # are summed in int64; 6 C(64, 32) > 2^63 goes to Python ints, where
+        # an int64 sum would wrap
+        m, d = 64, 32
+        rng = np.random.Generator(np.random.PCG64(top))
+        ordered = np.sort(rng.integers(0, top + 1, (m, 40)), axis=0)
+        ordered[-1] = top
+        assert (top * math.comb(m, d) < 2**63) == (top == 5)
+        expected = [_expected_min_numerator(column, d) for column in ordered.T.tolist()]
+        assert _numerators(ordered, d) == expected
+        if top == 6:
+            weights = np.array(cusketch.simulate._order_weights(m, d), dtype=np.int64)
+            wrapped = (weights @ np.full((m - d + 1, 1), top)).tolist()  # int64 wraps
+            assert wrapped != [_expected_min_numerator([top] * m, d)]
 
     def test_conditional_error_is_exact_on_large_counters(self):
         # At m=64, d=32 the weights C(64 - r, 31) reach 9.2e17, so int64
