@@ -66,11 +66,16 @@ MAX_KRYLOV_ITERS = 1000
 ILU_DROP_TOL = 1e-4
 ILU_FILL_FACTOR = 10
 ILU_ORDER = "NATURAL"
-# States above which a chain goes without the ILU step: its factor's time
-# grows far faster than its bytes. (100,4,3) LB, 171,700 states, factored
-# in 2.6 s; (200,2,3) LB, 1,333,300 states, passed the byte budget but spent
-# about 20 minutes and 1.2 GB in `spilu` before it certified.
-ILU_MAX_STATES = 1 << 18
+# States above which a chain goes without the ILU step. The step's time
+# follows the chain's structure more than its size. In a survey of LB
+# chains that reach the step (2-core Xeon, the other core often busy),
+# `spilu` took 1-10 s on (100,4,3), (100,1,3), (120,3,3), (120,1,3),
+# (150,3,3) and (150,1,3), of 156,849 to 573,800 states, 78 s on (180,3,3)
+# (955,860) and 209 s on (150,5,3) (529,396). On the (m,2,2) chains it
+# grew as the square of the states: 25/133/247/370/1,061 s at m = 400/600/
+# 700/800/1000 (79,800 to 499,500 states), about 7 minutes at the cap.
+# (200,2,3), 1,333,300 states, spent about 20 minutes and 1.2 GB in it.
+ILU_MAX_STATES = 5 << 16
 # Nonzeros of P from which `_products` splits each mat-vec by rows over two
 # threads. On a 2-core Xeon, against one thread, a split step took 1.29x as
 # long at m=50, d=4, g=3 (207k nonzeros), where the hand-off costs more than

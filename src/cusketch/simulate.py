@@ -64,11 +64,12 @@ _BLOCK_STEPS = 1024
 # (steps, d, chains) block and a worst-case probe's (items, d, runs)
 # subsets, each cell of the smallest unsigned dtype that holds m - 1.
 _DECODE_CELLS = 1 << 20
-# Uniform cells `_draws` fills and decodes at a time (128 KiB of doubles):
-# big enough that a group's one `_selections` call outweighs NumPy's per-call
-# cost, small enough for `estimate_error`'s tracemalloc peak (2^15 cells
-# raised it from 2.2 to 2.5 MiB at m=50, d=4, T=250).
-_DRAW_CELLS = 1 << 14
+# Uniform cells `_draws` fills and decodes at a time (256 KiB of doubles).
+# At T=250 and 2000 runs, 2^15 cells took 10-30% less time than 2^14 from
+# d=11 on (m=20 to 128), where a group holds 2 to 11 runs, and as long at
+# m=50, d=4. `estimate_error`'s tracemalloc peak at m=50, d=4 reads
+# 1.86 MiB at 2^14 cells and 2.05 MiB at 2^15 (2.02 MiB with the pool).
+_DRAW_CELLS = 1 << 15
 # `_step_rows` steps fewer runs than this one by one through `_run_steps`,
 # and more together through `_run_rows`. A `_run_rows` pass costs 9-17 us at
 # up to 20 runs (m=8/d=2 to m=50/d=4), against 0.6-1.3 us per run-step for
@@ -82,7 +83,8 @@ _MIN_BATCH_RUNS = 16
 # 2000 runs, `estimate_error` took 0.148/0.102/0.079/0.069/0.069 s in blocks
 # of 64/128/256/512/1000 runs, with tracemalloc peaks of
 # 0.5/0.7/1.1/1.9/3.4 MiB; the `simulate` command's peak RSS read
-# 37.9/37.9/38.4/39.2/40.4 MiB (medians of 9, 2-core Xeon, NumPy 2.4).
+# 37.9/37.9/38.4/39.2/40.4 MiB (medians of 9, 2-core Xeon, NumPy 2.4,
+# draw groups of 2^14 cells).
 # 2000 `run_trajectory` calls, one run each, took 0.92 s. 512 matches
 # 1000's time at half its added memory.
 _BATCH_RUNS = 512
@@ -231,21 +233,27 @@ def _selections(u: np.ndarray, m: int) -> np.ndarray:
     positions k and r_k. So the pick is found by tracing r_j back through
     the earlier swaps, latest first: a position equal to r_k came from k.
     A traced position never falls to k itself, since it stays above every
-    earlier swap's own index. That is d^2 / 2 passes over the (..., d)
-    rows, with no m-wide pool. Indices are held in the smallest unsigned
-    dtype that holds m - 1; any leading shape is kept.
+    earlier swap's own index. The picks are held as the rows of one
+    (d, ...) array, and swap k traces all later picks at once, so the
+    d(d - 1)/2 comparisons take d - 1 passes, with no m-wide pool. Those
+    comparisons grow as d^2 against the pool's m + d cells a row: at T=250,
+    `estimate_error` ran 1.1-2x as fast as with the pool from d=4 to
+    d=24 (m=20 to 50), about as fast at m=64, d=32, and 1.3x as slow at
+    m=128, d=64. Indices are held in the smallest unsigned dtype that holds
+    m - 1; the result has u's shape, as a view of that array.
     """
     d = u.shape[-1]
     dtype = np.min_scalar_type(m - 1)
     # floor(min(x, c)) = min(floor(x), c) for an integer c; the cast floors x >= 0
-    r = [np.minimum(u[..., j] * (m - j), m - j - 1).astype(dtype) + dtype.type(j) for j in range(d)]
-    sel = np.empty(u.shape, dtype=dtype)
-    for j in range(d):
-        pos = r[j]
-        for k in range(j - 1, -1, -1):
-            pos = np.where(pos == r[k], dtype.type(k), pos)
-        sel[..., j] = pos
-    return sel
+    picks = np.stack(
+        [np.minimum(u[..., j] * (m - j), m - j - 1).astype(dtype) + dtype.type(j) for j in range(d)]
+    )
+    # row k still holds r_k: only the passes of swaps 0 .. k - 1 write to it,
+    # and they run later
+    for k in range(d - 2, -1, -1):
+        later = picks[k + 1 :]
+        np.copyto(later, dtype.type(k), where=later == picks[k])
+    return np.moveaxis(picks, 0, -1)
 
 
 def _run_steps(

@@ -281,7 +281,7 @@ class TestSelections:
         assert peak < 32 * 2**20
 
     @pytest.mark.parametrize(
-        "m,d", [(2, 1), (3, 2), (5, 5), (8, 3), (10, 9), (50, 4), (300, 5)]
+        "m,d", [(2, 1), (3, 2), (5, 5), (8, 3), (10, 9), (50, 4), (300, 5), (64, 32), (200, 64)]
     )
     def test_trace_back_equals_the_pool_decode(self, m, d):
         u = substream(9, m).random((2000, d))
