@@ -40,8 +40,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
-from .kernel import KERNEL_BYTES_GUARD, TransitionKernel, build_kernel, check_kernel_size
-from .kernel import retarget_capped, sparsetools
+from .kernel import BYTES_PER_EDGE, KERNEL_BYTES_GUARD, TransitionKernel, build_kernel
+from .kernel import check_kernel_size, retarget_capped, sparsetools
 from .states import StateSpace, enumerate_states
 
 # the CSR kernel behind SciPy's `p @ x`, here called on a range of rows
@@ -312,15 +312,15 @@ def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
     or ran out of iterations, gets a second BiCGSTAB solve, right-
     preconditioned by an incomplete LU factor (`_ilu_solve`), if the chain
     has at most ILU_MAX_STATES states and that factor fits ILU_FILL_FACTOR
-    x (nonzeros + 2N) x 12 bytes within KERNEL_BYTES_GUARD. LB reports the
-    interval's low end and UB its high end, so each bound errs only on its
-    own safe side. An interval still wider than tol raises
+    x (nonzeros + 2N) x BYTES_PER_EDGE within KERNEL_BYTES_GUARD. LB
+    reports the interval's low end and UB its high end, so each bound errs
+    only on its own safe side. An interval still wider than tol raises
     NonConvergenceError.
     """
     lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
     if hi - lo > tol:
         states = len(kernel.r)
-        factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * states) * 12
+        factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * states) * BYTES_PER_EDGE
         how = f"after BiCGSTAB; its ILU factor could need {factor_bytes} B, over the guard"
         if states > ILU_MAX_STATES:
             how = f"after BiCGSTAB; its {states} states are over the ILU step's cap of {ILU_MAX_STATES}"

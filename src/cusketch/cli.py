@@ -218,7 +218,7 @@ def _cmd_table1(args):
     if args.gmax >= 4:
         print(
             "warning: on a 2-core 2.1 GHz Xeon --gmax 4 takes about 2 s and "
-            "--gmax 5 25-26 s, with a 575 MB peak",
+            "--gmax 5 24-28 s, with a 575 MB peak",
             file=sys.stderr,
         )
     rows = []

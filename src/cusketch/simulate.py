@@ -575,8 +575,9 @@ def worst_case_probe(
     Hash assignments are redrawn each run: as with `IdealHashTable`, each
     distinct item draws one uniform subset, in first-seen order, from the
     run's substream, as `_draws` draws its selections; a group of runs holds
-    at most `_DECODE_CELLS` subset cells. The absent item's error uses the
-    exact subset expectation, present items use their assigned subsets.
+    at most `_DECODE_CELLS` subset cells. The absent item's error is the
+    exact subset expectation, from `_numerators` as in `estimate_error`;
+    present items use their assigned subsets.
     """
     SketchConfig(m, d)
     if runs < 1:
@@ -588,8 +589,8 @@ def worst_case_probe(
     count_of = np.bincount(order)
 
     run_errors = np.empty((runs, len(slot)))
-    absent_sum = 0.0
-    absent_errors = []
+    absent_errors: list[float] = []
+    choices = math.comb(m, d)
     group = min(_BATCH_RUNS, max(1, _DECODE_CELLS // (len(slot) * d)))
     for block in _run_blocks(runs, group):
         subsets = np.concatenate(list(_draws(seed, block, len(slot), m, d)))  # (items, d, runs)
@@ -599,12 +600,9 @@ def worst_case_probe(
                 pass
         picked = values[subsets, np.arange(len(block))]  # (items, d, runs)
         run_errors[block] = picked.min(axis=1).T - count_of
-        for row in values.T.tolist():
-            abs_err = expected_min_over_subsets(row, d)
-            absent_sum += abs_err
-            absent_errors.append(abs_err)
+        absent_errors += [n / choices for n in _numerators(np.sort(values, axis=0), d)]
 
-    absent_mean = absent_sum / runs
+    absent_mean = sum(absent_errors) / runs  # summed in run order
     absent_se = _stderr(absent_errors, absent_mean)
     items = []
     ok = True

@@ -97,7 +97,7 @@ def test_bound_table_discrepancy_is_a_one_step_window_shift():
         space = enumerate_states(50, 4, g)
         for variant, ref in (("lb", ref_lo), ("ub", ref_hi)):
             kernel = build_kernel(space, variant)
-            r = kernel.expected_increment()
+            r = kernel.r
             pis = occupancy_sequence(kernel, 251)  # pi(0) .. pi(250)
             next(pis)
             shifted = float(np.mean([pi @ r for pi in pis]))

@@ -13,6 +13,7 @@ import pytest
 
 import cusketch
 from cusketch import cli
+from cusketch.kernel import TransitionKernel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -79,6 +80,22 @@ def test_the_harness_reads_cusketch_names():
 @pytest.mark.parametrize("source, name", READS)
 def test_name_resolves(source, name):
     assert _resolves(name.split(".")), f"{source} reads {name}, which is gone"
+
+
+def _kernel_reads() -> list[str]:
+    """Each attribute the harness reads off a variable named `kernel`, a TransitionKernel."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernel":
+                names.add(node.attr)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", _kernel_reads())
+def test_kernel_attribute_exists(name):
+    fields = TransitionKernel.__dataclass_fields__
+    assert hasattr(TransitionKernel, name) or name in fields, f"perfbench reads kernel.{name}"
 
 
 def _pinned_verify_checks() -> list[str]:

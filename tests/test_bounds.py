@@ -149,7 +149,7 @@ class TestStationary:
 
     def test_residual_criterion(self, two_state_lb):
         pi = stationary(two_state_lb, tol=1e-12)
-        p = two_state_lb.transition_matrix()
+        p = two_state_lb.p
         assert np.abs(pi @ p - pi).max() <= 1e-12
 
     def test_non_convergence_reported(self, two_state_lb, monkeypatch):

@@ -246,7 +246,33 @@ class TestAsymptotic:
         assert out == "" and "tol must be finite and positive" in err
 
 
+def _without_wall_time(out: str) -> str:
+    """A record's text with its wall time masked (JSON) or its row dropped (CSV)."""
+    out = re.sub(r'"wall_time_s": "[^"]*"', '"wall_time_s": "*"', out)
+    return re.sub(r"^wall_time_s,.*\n", "", out, flags=re.MULTILINE)
+
+
 class TestClosedForm:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("--m", "3"), "0ebffb66c268cdde5ad8dc48719c14ddebd2d10be203e77afd3510904ad46978"),
+            (("--m", "10", "--g", "40"),
+             "e8b3daa60a92710bfba9d8f783be26b21f0b8de7a4219f4e2118c89ed254146a"),
+            (("--m", "1000000"), "a00751f55d1eb67dee0a462eba5737dccc2b0d6d3e6ce91a824e04bc109b4d4a"),
+            (("--m", "3", "--g", "1075"),
+             "528a1311ad66bb108d402e74ceddb46b7e8f145736990db1e592e712db72e8bd"),
+            (("--m", "10", "--format", "csv"),
+             "421435a8f343f900cc2e3412b0068ed75cf53c1273450a103dab45d9ee61f0ed"),
+        ],
+        ids=["m3", "m10-g40", "m1e6", "m3-g1075", "m10-csv"],
+    )
+    def test_pinned_record(self, capsys, argv, digest):
+        """Every closed-form value, bit for bit, in both formats."""
+        rc, out, _ = run(capsys, "closed-form", *argv)
+        assert rc == EXIT_OK
+        assert hashlib.sha256(_without_wall_time(out).encode()).hexdigest() == digest
+
     def test_m3(self, capsys):
         rc, out, _ = run(capsys, "closed-form", "--m", "3")
         assert rc == EXIT_OK

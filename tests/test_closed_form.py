@@ -49,6 +49,24 @@ class TestRates:
     def test_counter_rate_is_half(self, m):
         assert bd_growth_rate(m) / m == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 10, 50, 1000, 10**6, 2**40, 10**18])
+    def test_error_rate_is_the_series_over_level_transitions(self, m):
+        # levels with pi_f < 1e-15 are dropped: they decay by 1/(m - 1) <= 1/2
+        series = (1 / m) * bd_transition(m, 0, 1) * bd_limiting(m, 0)
+        f = 1
+        while (pi_f := bd_limiting(m, f)) >= 1e-15:
+            up = (1 / m) * bd_transition(m, f, f + 1)
+            down = ((m - 1) / m) * bd_transition(m, f, f - 1)
+            series += (up + down) * pi_f
+            f += 1
+        assert abs(series - bd_error_rate(m)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 10, 50, 1000, 10**6, 2**40, 10**18])
+    def test_growth_rate_is_the_series_over_levels(self, m):
+        pi0 = bd_limiting(m, 0)
+        series = (m - 1) * pi0 + (1 - pi0) * 2 * (m - 1) / m
+        assert abs(series - bd_growth_rate(m)) <= 1e-12 * m
+
 
 class TestGapTail:
     def test_examples(self):

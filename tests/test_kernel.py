@@ -221,11 +221,11 @@ class TestBuildKernel:
             n = len(space)
             assert kernel.n_edges == len(edges.src)
             p = sp.csr_matrix((edges.p, (edges.src, edges.dst)), shape=(n, n))
-            assert abs(kernel.transition_matrix() - p).max() == 0.0
+            assert abs(kernel.p - p).max() == 0.0
             assert kernel.p.has_canonical_format
             reward = np.zeros(n)
             np.add.at(reward, edges.src, edges.p * edges.beta)
-            assert (kernel.expected_increment() == reward).all()
+            assert (kernel.r == reward).all()
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7, 64])
     def test_block_size_does_not_change_kernel(self, monkeypatch, block_rows):

@@ -268,7 +268,7 @@ class TestSelections:
         direct = [uniform_select(SketchConfig(m, d), rng) for _ in range(T)]
         assert [tuple(sorted(row)) for row in decoded] == direct
 
-    def test_decode_memory_is_bounded_by_the_chunk_budget(self):
+    def test_decode_memory_does_not_grow_with_m(self):
         # One (1024, m) pool at m=200000 would take 1.6 GB.
         u = substream(3, 0).random((1024, 2))
         tracemalloc.start()
