@@ -6,27 +6,19 @@ chain's upper-bounds it. With r the per-state expected error increment (the
 row sums of P element-wise B), the finite-horizon bound is
 (1/T) sum_{t<T} e_0^T P^t r. It is summed backward, h <- r + P h, which
 reads P row by row. The long-run bound is pi.r, pi the chain's stationary
-vector. It comes from a BiCGSTAB solve of the Poisson equation
+vector. It comes from one BiCGSTAB solve of the Poisson equation
 (I - P + 1 e_0^T) h = r, which also reads P row by row, and is certified by
 Odoni's interval: for any h, pi.r lies between the least and greatest entry
-of r + P h - h (`long_run_interval`). A chain whose interval is wider than
-tol gets one more BiCGSTAB solve of the same system, right-preconditioned
-by an incomplete LU factor (`_ilu_solve`, the only step that imports
-`scipy.sparse`) if it has at most ILU_MAX_STATES states, and raises
-NonConvergenceError if that interval is too wide as well or the step is
-not tried.
+of r + P h - h (`long_run_interval`). A long-run kernel labels its states
+in ascending total offset, which every edge but the self-loops and the
+shifts down raises, so the solve is right-preconditioned by I - P less its
+shifts, inverted level by level (`_renewal_preconditioner`). A chain whose
+interval is wider than tol raises NonConvergenceError.
 
-Every product with P outside that step goes through `_products`, which
-calls SciPy's compiled `csr_matvec` on the kernel's CSR arrays: on a P of at
-least SPLIT_MIN_NNZ nonzeros it splits the rows into two parts of equal
-nonzero count, one for the calling thread and one for a one-thread pool, and
-either way it gives the bits of `p @ x`.
-
-`chain_values` is the one entry point: it guards, builds and evaluates each
-chain, one after the other, and returns its value, edge count and seconds;
-UB's kernel is LB's, re-targeted in place once LB's value is known, so one P
-is held at a time. `expected_error` and `asymptotic_error` are its only
-views, one chain's value each.
+Every product with P but the preconditioner's goes through `_products`,
+which splits it over two threads on a large P and gives the bits of `p @ x`.
+`chain_values` is the one entry point, and `expected_error` and
+`asymptotic_error` are its one-chain views.
 """
 
 from __future__ import annotations
@@ -40,8 +32,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError
-from .kernel import BYTES_PER_EDGE, KERNEL_BYTES_GUARD, TransitionKernel, build_kernel
-from .kernel import check_kernel_size, retarget_capped, sparsetools
+from .kernel import TransitionKernel, build_kernel, check_kernel_size, retarget_capped
+from .kernel import _blocks, sparsetools
 from .states import StateSpace, enumerate_states
 
 # the CSR kernel behind SciPy's `p @ x`, here called on a range of rows
@@ -54,28 +46,9 @@ _csr_matvec = sparsetools.csr_matvec
 RESIDUAL_FLOOR = 8 * np.finfo(float).eps
 # Power steps after which `stationary` raises NonConvergenceError.
 MAX_POWER_ITERS = 10**6
-# BiCGSTAB iterations (two mat-vecs each) before one Poisson solve gives up.
-# The m=50, d=4, g=3 chains need 134 (LB) and 111 (UB).
+# BiCGSTAB iterations before one Poisson solve gives up. The m=50, d=4 chains
+# need 10 at g=3 and 13 at g=4.
 MAX_KRYLOV_ITERS = 1000
-# `_ilu_solve`'s incomplete LU (drop tolerance, fill bound over the nonzeros
-# of I - P + 1 e_0^T, column order), which right-preconditions BiCGSTAB on
-# the LB chains that plain BiCGSTAB leaves wide. In natural (lexicographic)
-# state order (100,4,3) LB factored in 3.5 s at (1e-5, 10), in COLAMD's in
-# 22 s. (1e-4, 10) factored (100,1,3) and (100,4,3) LB in 1.0 and 2.6 s,
-# (1e-3, 10) in 8.6 and 1.5 s, and a fill bound of 5 took 23-38 s.
-ILU_DROP_TOL = 1e-4
-ILU_FILL_FACTOR = 10
-ILU_ORDER = "NATURAL"
-# States above which a chain goes without the ILU step. The step's time
-# follows the chain's structure more than its size. In a survey of LB
-# chains that reach the step (2-core Xeon, the other core often busy),
-# `spilu` took 1-10 s on (100,4,3), (100,1,3), (120,3,3), (120,1,3),
-# (150,3,3) and (150,1,3), of 156,849 to 573,800 states, 78 s on (180,3,3)
-# (955,860) and 209 s on (150,5,3) (529,396). On the (m,2,2) chains it
-# grew as the square of the states: 25/133/247/370/1,061 s at m = 400/600/
-# 700/800/1000 (79,800 to 499,500 states), about 7 minutes at the cap.
-# (200,2,3), 1,333,300 states, spent about 20 minutes and 1.2 GB in it.
-ILU_MAX_STATES = 5 << 16
 # Nonzeros of P from which `_products` splits each mat-vec by rows over two
 # threads. On a 2-core Xeon, against one thread, a split step took 1.29x as
 # long at m=50, d=4, g=3 (207k nonzeros), where the hand-off costs more than
@@ -180,9 +153,7 @@ def _check_tol(tol: float) -> None:
         raise ConfigurationError(f"tol must be finite and positive, got {tol}")
 
 
-def _poisson_solve(
-    kernel: TransitionKernel, tol: float, precondition: Callable | None = None
-) -> np.ndarray:
+def _poisson_solve(kernel: TransitionKernel, tol: float, precondition: Callable) -> np.ndarray:
     """An approximate solution h of (I - P + 1 e_0^T) h = r by BiCGSTAB.
 
     The exact solution has h[0] = pi.r and r + P h - h = h[0] everywhere, so
@@ -191,35 +162,28 @@ def _poisson_solve(
     `bicgstab` runs it, from h = 0 until the residual's 2-norm is at most
     tol / 4, a breakdown, or MAX_KRYLOV_ITERS iterations. The residual is
     updated by recursion, which drifts from the true one, so a solve that
-    met tol may still leave a wide interval. The returned h may be
-    anything, NaN included, as only its interval is trusted. The
-    mat-vec reads P row by row, split over two threads on a large P
-    (`_products`). Inner products use `np.einsum`, not BLAS:
-    OpenBLAS splits a dot product of over 10,000 entries across two
-    threads, and with the second core busy that made `bicgstab`'s m=50, d=4,
-    g=3 LB solve take 1-6 s instead of 0.1 s. BiCGSTAB on the transposed
-    system for pi breaks down on many chains with d <= 3.
-
-    `precondition`, if given, maps a vector x to M^-1 x for a preconditioner
-    M of the system, applied on the right as `bicgstab` applies its M: each
-    search direction and each s is mapped before its mat-vec and its update
-    of h, so the residual stays that of the unpreconditioned system. Without
-    it, the iteration is the unpreconditioned one, bit for bit.
+    met tol may still leave a wide interval; h may be anything, NaN
+    included, as only its interval is trusted. precondition(x, out) writes
+    M^-1 x into out, applied on the right as `bicgstab` applies its M, so
+    the residual stays that of the unpreconditioned system. Every update is
+    made in place, with `bicgstab`'s rounding, so the solve holds seven
+    N-vectors besides r and the preconditioner's. Inner products use
+    `np.einsum`, not BLAS: OpenBLAS splits a dot product of over 10,000
+    entries across two threads, and with the second core busy that made
+    `bicgstab`'s m=50, d=4, g=3 LB solve take 1-6 s instead of 0.1 s.
     """
     r = kernel.r
     tiny = np.finfo(float).eps ** 2  # `bicgstab`'s breakdown threshold
 
-    def a(x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        product(x, y)
-        np.subtract(x, y, out=y)
-        y += x[0]
-        return y
+    def a(x: np.ndarray, out: np.ndarray) -> None:
+        product(x, out)
+        np.subtract(x, out, out=out)
+        out += x[0]
 
     def dot(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.einsum("i,i", x, y))
 
-    direction, v = np.zeros_like(r), np.zeros_like(r)
+    direction, v, t, z = np.zeros_like(r), np.zeros_like(r), np.empty_like(r), np.empty_like(r)
     rho_prev = alpha = omega = 1.0
     stop = (tol / 4) ** 2
     h, res, shadow = np.zeros_like(r), r.copy(), r.copy()
@@ -228,23 +192,63 @@ def _poisson_solve(
             rho = dot(shadow, res)
             if dot(res, res) <= stop or abs(rho) < tiny or abs(omega) < tiny:
                 break
-            direction -= omega * v
+            direction -= np.multiply(omega, v, out=t)
             direction *= (rho / rho_prev) * (alpha / omega)
             direction += res
-            d_hat = direction if precondition is None else precondition(direction)
-            v = a(d_hat)
+            precondition(direction, z)
+            a(z, v)
             alpha = rho / dot(shadow, v)
-            s = res - alpha * v
-            h += alpha * d_hat
-            if dot(s, s) <= stop:
+            h += np.multiply(alpha, z, out=z)
+            res -= np.multiply(alpha, v, out=t)  # res is now s
+            if dot(res, res) <= stop:
                 break
-            s_hat = s if precondition is None else precondition(s)
-            t = a(s_hat)
-            omega = dot(t, s) / dot(t, t)
-            h += omega * s_hat
-            res = s - omega * t
+            precondition(res, z)
+            a(z, t)
+            omega = dot(t, res) / dot(t, t)
+            h += np.multiply(omega, z, out=z)
+            res -= np.multiply(omega, t, out=t)
             rho_prev = rho
     return h
+
+
+def _renewal_preconditioner(kernel: TransitionKernel) -> Callable[[np.ndarray, np.ndarray], None]:
+    """precondition(x, out), which writes M^-1 x into out for M = I - D - F.
+
+    D is P's diagonal and F its edges that raise the total offset; the
+    others, the all-minima move and UB's capped event, lower it. So M^-1 x
+    is the reward x collected up to the chain's next shift down (the
+    renewal view; Stewart, Introduction to the Numerical Solution of Markov
+    Chains, 1994), and BiCGSTAB is left what happens across shifts. In
+    offset order M is triangular, and out, from 0, is solved one offset
+    level at a time from the highest down (level scheduling; Saad,
+    Iterative Methods for Sparse Linear Systems, 2003, sec. 11.6): one
+    `csr_matvec` of the level's full rows of P into its own slice of out
+    gives F's part exactly, as the lower levels are still 0 and a level's
+    only edges within itself are self-loops; adding x and dividing by
+    1 - P_ii solves the level. No copy of P is made. The lone state of an
+    m = d chain has P_ii = 1, where M would be singular; it takes M_ii = 1.
+    """
+    if kernel.order != "offset":
+        raise ConfigurationError("the renewal preconditioner needs a kernel in offset order")
+    indptr, indices, data, n = kernel.indptr, kernel.indices, kernel.data, len(kernel.r)
+    scale = np.ones(n)  # 1 / (1 - P_ii)
+    for start, stop in _blocks(n):
+        rows = np.repeat(np.arange(start, stop, dtype=np.int32), np.diff(indptr[start : stop + 1]))
+        edges = slice(indptr[start], indptr[stop])
+        loops = (indices[edges] == rows) & (data[edges] < 1.0)  # P_ii = 1: M_ii = 1
+        scale[rows[loops]] = 1.0 / (1.0 - data[edges][loops])
+    starts = kernel.space.offset_order[1].tolist()
+    levels = [(a, b, indptr[a : b + 1], scale[a:b]) for a, b in zip(starts[-2::-1], starts[:0:-1])]
+
+    def precondition(x: np.ndarray, out: np.ndarray) -> None:
+        out.fill(0.0)
+        for a, b, row_starts, row_scale in levels:
+            y = out[a:b]
+            _csr_matvec(b - a, n, row_starts, indices, data, out, y)
+            y += x[a:b]
+            y *= row_scale
+
+    return precondition
 
 
 def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, float]:
@@ -259,8 +263,7 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     Stability of Numerical Algorithms, 2002, sec. 3.1). It is then
     intersected with [min r, max r], which holds pi.r too, so a non-finite
     or useless h gives that interval. The closer h is to the Poisson
-    solution, the narrower the interval. The two products with P are split
-    over two threads on a large P (`_products`).
+    solution, the narrower the interval.
     """
     r = kernel.r
     lo, hi = float(r.min()), float(r.max())
@@ -281,57 +284,23 @@ def long_run_interval(kernel: TransitionKernel, h: np.ndarray) -> tuple[float, f
     return (e_lo if e_lo > lo else lo), (e_hi if e_hi < hi else hi)
 
 
-def _ilu_solve(kernel: TransitionKernel, tol: float) -> np.ndarray:
-    """An approximate solution h of `_poisson_solve`'s system by ILU-preconditioned BiCGSTAB.
-
-    SuperLU's threshold incomplete LU (`spilu`; Saad, Iterative Methods for
-    Sparse Linear Systems, 2003, ch. 10) of I - P + 1 e_0^T right-
-    preconditions `_poisson_solve`. Only h's interval is trusted, so a zero
-    pivot gives NaN. The import is here, not with the module:
-    `scipy.sparse.linalg` loads SciPy's own OpenBLAS, about 10 MB of peak
-    RSS that plain BiCGSTAB's chains never use.
-    """
-    import scipy.sparse
-    import scipy.sparse.linalg as sla
-
-    n = len(kernel.r)
-    border = scipy.sparse.csr_matrix((np.ones(n), (np.arange(n), np.zeros(n, int))), (n, n))
-    a = (scipy.sparse.identity(n, format="csr") - kernel.p + border).tocsc()
-    try:
-        ilu = sla.spilu(a, ILU_DROP_TOL, ILU_FILL_FACTOR, permc_spec=ILU_ORDER)
-    except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        return np.full(n, np.nan)
-    return _poisson_solve(kernel, tol, ilu.solve)
-
-
 def _long_run_value(kernel: TransitionKernel, tol: float) -> float:
     """The chain's long-run value pi.r, certified by Odoni's interval.
 
-    One BiCGSTAB solve comes first. A chain whose interval it leaves wider
-    than tol, whether its solve met tol on the drifted residual, broke down
-    or ran out of iterations, gets a second BiCGSTAB solve, right-
-    preconditioned by an incomplete LU factor (`_ilu_solve`), if the chain
-    has at most ILU_MAX_STATES states and that factor fits ILU_FILL_FACTOR
-    x (nonzeros + 2N) x BYTES_PER_EDGE within KERNEL_BYTES_GUARD. LB
-    reports the interval's low end and UB its high end, so each bound errs
-    only on its own safe side. An interval still wider than tol raises
-    NonConvergenceError.
+    One BiCGSTAB solve, right-preconditioned by the chain's renewal
+    structure (`_renewal_preconditioner`), gives h, and h's interval
+    certifies the value. LB reports the interval's low end and UB its high
+    end, so each bound errs only on its own safe side. An interval wider
+    than tol, whether the solve met tol on the drifted residual, broke down
+    or ran out of iterations, raises NonConvergenceError.
     """
-    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, tol))
+    h = _poisson_solve(kernel, tol, _renewal_preconditioner(kernel))
+    lo, hi = long_run_interval(kernel, h)
     if hi - lo > tol:
-        states = len(kernel.r)
-        factor_bytes = ILU_FILL_FACTOR * (kernel.n_edges + 2 * states) * BYTES_PER_EDGE
-        how = f"after BiCGSTAB; its ILU factor could need {factor_bytes} B, over the guard"
-        if states > ILU_MAX_STATES:
-            how = f"after BiCGSTAB; its {states} states are over the ILU step's cap of {ILU_MAX_STATES}"
-        elif factor_bytes <= KERNEL_BYTES_GUARD:
-            lo, hi = long_run_interval(kernel, _ilu_solve(kernel, tol))
-            how = "after ILU-preconditioned BiCGSTAB"
-        if hi - lo > tol:
-            raise NonConvergenceError(
-                f"the {kernel.variant} chain's long-run interval is {hi - lo:.3e} wide "
-                f"> tol {tol:.1e} {how}"
-            )
+        raise NonConvergenceError(
+            f"the {kernel.variant} chain's long-run interval is {hi - lo:.3e} wide "
+            f"> tol {tol:.1e} after renewal-preconditioned BiCGSTAB"
+        )
     return lo if kernel.variant == "lb" else hi
 
 
@@ -360,11 +329,12 @@ def chain_values(
     The horizon, tolerance and size guards run before anything is built, and
     the state space is enumerated once for all variants. The chains are
     evaluated one after the other (`expected_error_from_kernel`, or
-    `_long_run_value` for the limit), and UB is never built by a second
-    event pass: once LB's value is known, LB's kernel is re-targeted in
-    place (`retarget_capped`), so one P is held at a time. On a large P each
-    mat-vec is split over two threads (`_products`). Each value is the one a
-    chain evaluated alone gives, bit for bit.
+    `_long_run_value` for the limit, on a kernel in offset order), and UB is
+    never built by a second event pass: once LB's value is known, LB's
+    kernel is re-targeted in place (`retarget_capped`), so one P is held at
+    a time. On a large P each mat-vec is split over two threads
+    (`_products`). Each value is the one a chain evaluated alone gives, bit
+    for bit.
     """
     return _chain_values(m, d, g, T, variants, tol)[1]
 
@@ -387,7 +357,7 @@ def _chain_values(
             retarget_capped(kernel)
         else:
             kernel = None  # hold one chain at a time
-            kernel = build_kernel(space, variant)
+            kernel = build_kernel(space, variant, "offset" if T is None else "rank")
         if T is None:
             value = _long_run_value(kernel, tol)
         else:

@@ -8,10 +8,9 @@ class ConfigurationError(ValueError):
 class NonConvergenceError(RuntimeError):
     """The long-run solve failed to reach the requested tolerance.
 
-    The message says by how much: the certified interval's width, and
-    whether the ILU-preconditioned BiCGSTAB solve ran or its factor would
-    pass its budget. `stationary`'s gives its power-iteration residual and
-    steps.
+    The message says by how much: the certified interval's width after the
+    renewal-preconditioned BiCGSTAB solve. `stationary`'s gives its
+    power-iteration residual and steps.
     """
 
 

@@ -88,6 +88,7 @@ class TransitionKernel:
     indices: np.ndarray
     indptr: np.ndarray
     r: np.ndarray
+    order: str = "rank"  # state i is row i, or "offset": `StateSpace.offset_order`
 
     @property
     def n_edges(self) -> int:
@@ -98,10 +99,8 @@ class TransitionKernel:
         """P as a `scipy.sparse.csr_matrix` over the kernel's own arrays, made on each read.
 
         No array is copied, so a write through the view writes the kernel.
-        It is for readers off the hot path, such as the ILU step of the
-        long-run solve, which factors I - P + 1 e_0^T to precondition
-        BiCGSTAB; `scipy.sparse` is imported on the first read, not with the
-        module.
+        It is for readers off every command's path, such as the tests;
+        `scipy.sparse` is imported on the first read, not with the module.
         """
         import scipy.sparse
 
@@ -248,7 +247,14 @@ def _check_row_sums(row_sums: np.ndarray) -> None:
         raise InternalConsistencyError(f"kernel row sums deviate from 1 by {worst:.3e}")
 
 
-def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
+def _relabel(space: StateSpace, order: str):
+    """The map from rank indices (an array or a slice) to a kernel's labels in this order."""
+    if order not in ("rank", "offset"):
+        raise ConfigurationError(f"order must be 'rank' or 'offset', got {order!r}")
+    return space.offset_order[0].__getitem__ if order == "offset" else lambda ranks: ranks
+
+
+def build_kernel(space: StateSpace, variant: str, order: str = "rank") -> TransitionKernel:
     """Construct LB's P and r from one vectorized pass over the events; UB's
     kernel is LB's with the capped event re-targeted (`retarget_capped`).
 
@@ -257,27 +263,32 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
     sources) at 12 B per edge. Both passes go block by block, so the only
     N-sized arrays are P's own and r. Each edge is one stored nonzero, as
     distinct events of a state reach distinct targets: the total offset
-    sum_l l k_l changes by +c for a move that keeps level 0 occupied, c - m
-    for the all-minima move (c = k_0; 0 only at d = m, where it is the lone
-    event), d + k_0 - m <= 0 for UB's capped event and 0 for LB's frozen
-    self-loop. No two of these coincide, and two moves with equal c differ
-    as vectors. So LB's frozen self-loop is the only diagonal entry of LB's
-    P.
+    off(k) = sum_l l k_l changes by +c for a move that keeps level 0
+    occupied, c - m for the all-minima move (c = k_0; 0 only at d = m,
+    where it is the lone event), d + k_0 - m <= 0 for UB's capped event and
+    0 for LB's frozen self-loop. No two of these coincide, and two moves
+    with equal c differ as vectors. So LB's frozen self-loop is the only
+    diagonal entry of LB's P, and every other edge changes off. Each
+    state's row, targets and r entry go to its label in `order`, so
+    an offset-order kernel is the rank-order one permuted, bit for bit: each
+    offset level is one block of rows, with no edge inside it but self-loops.
 
     UB's kernel costs LB's build plus the re-targeting. `chain_values`
     builds only LB's and re-targets it in place, so there UB's seconds count
     no build.
     """
     _check_variant(variant)
+    label = _relabel(space, order)
     m, d = space.m, space.d
     check_kernel_size(m, d, space.g)
     n = len(space)
     indptr = np.zeros(n + 1, dtype=np.int32)
     for start, stop in _blocks(n):
-        counts = indptr[start + 1 : stop + 1]  # each state's edge count
+        counts = np.zeros(stop - start, dtype=np.int32)  # each state's edge count
         for _, kv, above in _levels_above(space.states[start:stop], m):
             for c in range(1, d + 1):
                 counts += _live(kv, above, c, d)
+        indptr[1:][label(slice(start, stop))] = counts
     np.cumsum(indptr, out=indptr)
     n_edges = int(indptr[-1])
     cols = np.empty(n_edges, dtype=np.int32)
@@ -285,16 +296,15 @@ def build_kernel(space: StateSpace, variant: str) -> TransitionKernel:
 
     r = np.zeros(n)
     for start, stop in _blocks(n):
-        fill = indptr[start:stop].copy()  # next free slot in each source's row
-        r_block = r[start:stop]
+        fill = indptr[label(slice(start, stop))].copy()  # next free slot in each source's row
         for _, _, rows, dst, p, beta in _event_pass(space, "lb", start, stop):
             slots = fill[rows]
-            cols[slots] = dst
+            cols[slots] = label(dst)
             data[slots] = p
             fill[rows] += 1
-            r_block[rows] += p * beta
+            r[label(rows + start)] += p * beta
     sparsetools.csr_sort_indices(n, indptr, cols, data)
-    kernel = TransitionKernel(space, "lb", data=data, indices=cols, indptr=indptr, r=r)
+    kernel = TransitionKernel(space, "lb", data, cols, indptr, r, order)
     if variant == "ub":
         retarget_capped(kernel)
     return kernel
@@ -310,32 +320,35 @@ def retarget_capped(kernel: TransitionKernel) -> None:
     and gains p * beta in r. The capped event is the last in pass order and
     LB adds p * 0 there, so r becomes UB's bit for bit. Targets and betas
     come from `_event_pass` restricted to the capped event, block by block,
-    with its rank and beta checks; the row sums are LB's, already checked.
+    with its rank and beta checks, relabelled in the kernel's order; the
+    row sums are LB's, already checked.
 
-    No row needs re-sorting. A capped row's state has its top level at g,
-    and `StateSpace.rank` orders states by top level, then by descending
-    lexicographic order of the histogram. The all-minima move is the one
-    target with top level g - 1, so it alone ranks below the source; every
-    other move takes counters off the first level it changes, so it ranks
-    above. UB's target keeps top level g, and at the first level where it
-    differs from the source it holds more counters, as its levels shift
-    down past the lifted minima; so it ranks between the two, where the
-    self-loop sat.
+    No row needs re-sorting: in either order the all-minima move alone
+    sorts below the source, and UB's target between the two, where the
+    self-loop sat. Rank order (`StateSpace.rank`) sorts by top level, then
+    by descending lexicographic order. A capped row has top level g; the
+    all-minima move alone drops it to g - 1, every other move takes
+    counters off the first level it changes, and UB's target keeps level g
+    but holds more counters at its first difference, as its levels shift
+    down past the lifted minima. Offset order sorts by off: the all-minima
+    move changes it by k_0 - m, every other LB move by +c > 0, and UB's
+    target by d + k_0 - m, in (k_0 - m, 0], where 0 makes it the source.
     """
     if kernel.variant != "lb":
         raise ConfigurationError(f"only an LB kernel can be re-targeted, got {kernel.variant!r}")
     space, indices, indptr, r = kernel.space, kernel.indices, kernel.indptr, kernel.r
+    label = _relabel(space, kernel.order)
     capped = (space.g, space.d)
     for start, stop in _blocks(len(space)):
         for _, _, rows, dst, prob, beta in _event_pass(space, "ub", start, stop, capped):
-            rows = rows + start
+            rows = label(rows + start)
             first = indptr[rows]
             slots = first + (indices[first] != rows)  # after the all-minima move, if live
             if not (indices[slots] == rows).all():
                 raise InternalConsistencyError(
-                    "a capped row's self-loop is not where its rank puts it"
+                    "a capped row's self-loop is not where its label puts it"
                 )
-            indices[slots] = dst
+            indices[slots] = label(dst)
             r[rows] += prob * beta
     kernel.variant = "ub"
 

@@ -103,6 +103,21 @@ class StateSpace:
         return prefix, top
 
     @cached_property
+    def offset_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(position, starts): each state's label in ascending total offset
+        off(k) = sum_l l k_l, ties in rank order (so the start state, alone
+        at off 0, keeps 0), and the first label of each offset level, then N.
+        l k_l overflows int8 at m = 50; int32 holds g m for any admitted chain.
+        """
+        off = np.zeros(len(self), dtype=np.int32)
+        for level in range(1, self.g + 1):
+            off += np.multiply(self.states[:, level], level, dtype=np.int32)
+        position = np.empty(len(self), dtype=np.int32)
+        position[np.argsort(off, kind="stable")] = np.arange(len(self), dtype=np.int32)
+        sizes = np.bincount(off)
+        return position, np.concatenate(([0], np.cumsum(sizes[sizes > 0])))
+
+    @cached_property
     def _rank_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Block offsets per level and the flattened table of composition counts.
 

@@ -20,9 +20,9 @@ def kernel_refs(monkeypatch):
     refs = []
     build_kernel = cusketch.bounds.build_kernel
 
-    def build_one_at_a_time(space, variant):
+    def build_one_at_a_time(space, variant, order="rank"):
         assert all(ref() is None for ref in refs), "an earlier chain's kernel is alive"
-        kernel = build_kernel(space, variant)
+        kernel = build_kernel(space, variant, order)
         refs.append(weakref.ref(kernel))
         return kernel
 

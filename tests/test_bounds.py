@@ -13,6 +13,7 @@ import cusketch.bounds
 import cusketch.kernel
 from cusketch.bounds import (
     _poisson_solve,
+    _renewal_preconditioner,
     asymptotic_error,
     chain_values,
     expected_error,
@@ -186,19 +187,15 @@ class TestStationary:
         assert 1e-300 < float(residual) <= 1e-15
 
 
-def _no_ilu_solve(kernel, tol):
-    raise AssertionError("the long-run solve went on to the ILU step")
+def _solver_spy(monkeypatch):
+    """Record (variant, preconditioned) of each `_poisson_solve` call, which still runs."""
+    calls, real = [], cusketch.bounds._poisson_solve
 
+    def spy(kernel, tol, precondition=None):
+        calls.append((kernel.variant, precondition is not None))
+        return real(kernel, tol, precondition)
 
-def _solver_spy(monkeypatch, name="_ilu_solve"):
-    """Record the variant of each chain passed to the solver `name`, which still runs."""
-    calls, real = [], getattr(cusketch.bounds, name)
-
-    def spy(kernel, tol, *args):
-        calls.append(kernel.variant)
-        return real(kernel, tol, *args)
-
-    monkeypatch.setattr(cusketch.bounds, name, spy)
+    monkeypatch.setattr(cusketch.bounds, "_poisson_solve", spy)
     return calls
 
 
@@ -243,13 +240,12 @@ class TestAsymptotic:
         assert hi - lo <= 1e-12 and value == (lo if variant == "lb" else hi)
 
     def test_g3_needs_only_bicgstab(self, monkeypatch, intervals):
-        # the benchmark chains are certified by one BiCGSTAB solve each: no
-        # second solve runs, and each bound is the end of its interval on
-        # its own safe side
-        monkeypatch.setattr(cusketch.bounds, "_ilu_solve", _no_ilu_solve)
-        solves = _solver_spy(monkeypatch, "_poisson_solve")
+        # the benchmark chains are certified by one preconditioned BiCGSTAB
+        # solve each, and each bound is the end of its interval on its own
+        # safe side
+        solves = _solver_spy(monkeypatch)
         chains = chain_values(50, 4, 3, None)
-        assert solves == ["lb", "ub"]
+        assert solves == [("lb", True), ("ub", True)]
         assert abs(chains["lb"].value - self.LIMITS[3][0]) <= 1e-9
         assert abs(chains["ub"].value - self.LIMITS[3][1]) <= 1e-9
         (lb_lo, lb_hi), (ub_lo, ub_hi) = intervals
@@ -258,42 +254,73 @@ class TestAsymptotic:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_one_solve_of_each_kind_per_chain(self, monkeypatch, m):
-        # every d and g <= 3: one plain BiCGSTAB solve per chain, and at
-        # most one ILU step, which solves once more
-        solves = _solver_spy(monkeypatch, "_poisson_solve")
-        fallbacks = _solver_spy(monkeypatch)
+        # every d and g <= 3: exactly one renewal-preconditioned BiCGSTAB
+        # solve per chain, on its kernel in offset order
+        solves = _solver_spy(monkeypatch)
+        orders = []
+        real = cusketch.bounds.build_kernel
+
+        def build_kernel(space, variant, order="rank"):
+            orders.append(order)
+            return real(space, variant, order)
+
+        monkeypatch.setattr(cusketch.bounds, "build_kernel", build_kernel)
         for d in range(1, m + 1):
             for g in (1, 2, 3):
                 solves.clear()
-                fallbacks.clear()
+                orders.clear()
                 chain_values(m, d, g, None)
-                assert fallbacks in ([], ["lb"], ["ub"], ["lb", "ub"]), (m, d, g)
-                expected = [v for v in ("lb", "ub") for _ in range(1 + fallbacks.count(v))]
-                assert solves == expected, (m, d, g)
+                assert solves == [("lb", True), ("ub", True)], (m, d, g)
+                assert orders == ["offset"], (m, d, g)
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_long_run_interval_holds_the_stationary_value(self, m):
-        # every d and g <= 3, LB then UB: the Poisson solve certifies each
-        # chain, and its interval holds pi.r from the dense balance solution
+        # every d and g <= 3, LB then UB: the preconditioned Poisson solve
+        # certifies each chain, and its interval holds pi.r from the dense
+        # balance solution
         for d in range(1, m + 1):
             for g in (1, 2, 3):
-                kernel = build_kernel(enumerate_states(m, d, g), "lb")
+                kernel = build_kernel(enumerate_states(m, d, g), "lb", "offset")
                 for variant in ("lb", "ub"):
                     if variant == "ub":
                         retarget_capped(kernel)
-                    lo, hi = long_run_interval(kernel, _poisson_solve(kernel, 1e-12))
+                    h = _poisson_solve(kernel, 1e-12, _renewal_preconditioner(kernel))
+                    lo, hi = long_run_interval(kernel, h)
                     value = float(_balance_solution(kernel) @ kernel.r)
                     assert hi - lo <= 1e-10 and lo <= value <= hi, (m, d, g, variant)
 
+    @pytest.mark.parametrize("variant", ["lb", "ub"])
+    @pytest.mark.parametrize("m,d,g", [(6, 3, 2), (9, 3, 3), (8, 1, 3), (7, 4, 3), (5, 5, 2)])
+    def test_preconditioner_inverts_the_offset_raising_part(self, m, d, g, variant):
+        # M = I - D - F, D the self-loops and F the edges to a higher total
+        # offset, solved densely: the level-by-level back substitution
+        # inverts it (the m = d state, P_ii = 1, takes M_ii = 1)
+        space = enumerate_states(m, d, g)
+        kernel = build_kernel(space, variant, "offset")
+        position = space.offset_order[0]
+        off = np.empty(len(space), dtype=np.int64)
+        off[position] = space.states.astype(np.int64) @ np.arange(g + 1)
+        p = kernel.p.toarray()
+        m_dense = np.eye(len(space)) - np.where(off[None, :] >= off[:, None], p, 0.0)
+        m_dense[np.diag(p) == 1.0, np.diag(p) == 1.0] = 1.0
+        x = np.random.Generator(np.random.PCG64(3)).random(len(space))
+        y = np.empty_like(x)
+        _renewal_preconditioner(kernel)(x, y)
+        assert np.allclose(m_dense @ y, x, rtol=1e-13, atol=1e-13)
+
+    def test_preconditioner_needs_the_offset_order(self, two_state_lb):
+        with pytest.raises(ConfigurationError, match="offset order"):
+            _renewal_preconditioner(two_state_lb)
+
     def test_nan_fallback_fails_the_interval_check(self, monkeypatch):
-        # BiCGSTAB gives up at once and the ILU step returns NaN, which lies
-        # in no interval narrower than [min r, max r]
-        monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
-        monkeypatch.setattr(
-            cusketch.bounds, "_ilu_solve", lambda kernel, tol: np.full(len(kernel.r), np.nan)
-        )
+        # a solve that returns NaN falls back to [min r, max r], which is
+        # wider than tol
+        def nan_solve(kernel, tol, precondition):
+            return np.full(len(kernel.r), np.nan)
+
+        monkeypatch.setattr(cusketch.bounds, "_poisson_solve", nan_solve)
         with pytest.raises(
-            NonConvergenceError, match="wide > tol 1.0e-12 after ILU-preconditioned BiCGSTAB$"
+            NonConvergenceError, match="wide > tol 1.0e-12 after renewal-preconditioned BiCGSTAB$"
         ):
             asymptotic_error(4, 2, 2, "lb")
 
@@ -315,88 +342,60 @@ class TestAsymptotic:
         assert lo <= self.LIMITS[3][variant == "ub"] <= hi
         assert kernel.r.min() <= lo and hi <= kernel.r.max()
 
-    def test_uncertified_chain_is_certified_by_the_ilu_step(self, monkeypatch, intervals):
-        # frozen self-loops near 0.99: BiCGSTAB leaves a wide interval, and
-        # one BiCGSTAB solve preconditioned by the ILU factor certifies the
-        # chain. The values it had before lie inside: power iteration's,
-        # 0.0025625508887330852, and ILU-preconditioned GMRES's,
-        # 0.0025625508887305998.
+    def test_uncertified_chain_is_certified_by_one_solve(self, monkeypatch, intervals):
+        # frozen self-loops near 0.99: plain BiCGSTAB leaves the chain 2.2e-3
+        # wide, and one renewal-preconditioned solve certifies it, with power
+        # iteration's value, 0.0025625508887330852, inside
         def stationary(kernel, tol=1e-12):
             raise AssertionError("the long-run solve ran power iteration")
 
-        calls = _solver_spy(monkeypatch)
+        solves = _solver_spy(monkeypatch)
         monkeypatch.setattr(cusketch.bounds, "stationary", stationary)
-        assert asymptotic_error(200, 3, 1, "lb") == 0.0025625508887296145
-        (lo, hi), (ilu_lo, ilu_hi) = intervals
-        assert calls == ["lb"] and hi - lo > 1e-12 >= ilu_hi - ilu_lo
-        assert ilu_lo <= 0.0025625508887305998 <= 0.0025625508887330852 <= ilu_hi
+        assert asymptotic_error(200, 3, 1, "lb") == 0.002562550888731401
+        [(lo, hi)] = intervals
+        assert solves == [("lb", True)] and hi - lo <= 1e-12
+        assert lo <= 0.0025625508887330852 <= hi
 
     def test_one_krylov_iteration_serves_both_solves(self, monkeypatch):
-        # a chain that reaches the ILU step runs `_poisson_solve` twice, plain
-        # and then preconditioned, and no SciPy Krylov solver
+        # the chain that plain BiCGSTAB leaves widest runs `_poisson_solve`
+        # once, preconditioned, and no SciPy Krylov solver
         def refuse(*args, **kwargs):
             raise AssertionError("the long-run solve called a SciPy Krylov solver")
 
         for name in ("bicgstab", "cg", "cgs", "gmres", "lgmres", "gcrotmk", "qmr", "tfqmr"):
             monkeypatch.setattr(scipy.sparse.linalg, name, refuse)
-        preconditioned, real = [], cusketch.bounds._poisson_solve
+        solves = _solver_spy(monkeypatch)
+        assert asymptotic_error(200, 3, 1, "lb") == 0.002562550888731401
+        assert solves == [("lb", True)]
 
-        def spy(kernel, tol, precondition=None):
-            preconditioned.append(precondition is not None)
-            return real(kernel, tol, precondition)
-
-        monkeypatch.setattr(cusketch.bounds, "_poisson_solve", spy)
-        assert asymptotic_error(200, 3, 1, "lb") == 0.0025625508887296145
-        assert preconditioned == [False, True]
-
-    def test_solve_out_of_iterations_goes_to_the_ilu_step(self, monkeypatch, intervals):
-        # BiCGSTAB stops after 5 iterations, and the chain goes to the ILU
-        # step, whose preconditioned solve certifies it within 5 as well
-        calls = _solver_spy(monkeypatch)
-        monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 5)
-        assert abs(asymptotic_error(17, 8, 3, "ub") - 0.20112351583230614) <= 1e-12
-        (lo, hi), (ilu_lo, ilu_hi) = intervals
-        assert calls == ["ub"] and hi - lo > 1e-12 >= ilu_hi - ilu_lo
+    def test_solve_out_of_iterations_is_refused(self, monkeypatch, intervals):
+        # BiCGSTAB stops after 2 iterations, short of tol: exit 2, not a value
+        solves = _solver_spy(monkeypatch)
+        monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 2)
+        with pytest.raises(NonConvergenceError, match="after renewal-preconditioned BiCGSTAB$"):
+            asymptotic_error(17, 8, 3, "ub")
+        [(lo, hi)] = intervals
+        assert solves == [("ub", True)] and hi - lo > 1e-12
 
     def test_fallback_value_outside_the_interval_is_refused(self, monkeypatch):
-        # no h, the ILU step's included, narrows this interval: exit 2, not a value
-        calls = _solver_spy(monkeypatch)
+        # no h narrows this interval: exit 2, not a value
+        solves = _solver_spy(monkeypatch)
         monkeypatch.setattr(cusketch.bounds, "long_run_interval", lambda kernel, h: (1.0, 2.0))
         with pytest.raises(
             NonConvergenceError,
-            match="interval is 1.000e[+]00 wide > tol 1.0e-12 after ILU-preconditioned BiCGSTAB$",
+            match="interval is 1.000e[+]00 wide > tol 1.0e-12 after renewal-preconditioned",
         ):
             asymptotic_error(9, 3, 2, "lb")
-        assert calls == ["lb"]
+        assert solves == [("lb", True)]
 
-    def test_factor_past_its_budget_is_refused_unbuilt(self, monkeypatch, intervals):
-        # (200, 3, 1) LB has 786 nonzeros and 198 states: its factor's budget
-        # is 10 x (786 + 396) x 12 = 141,840 bytes
-        monkeypatch.setattr(cusketch.bounds, "KERNEL_BYTES_GUARD", 141_839)
-        monkeypatch.setattr(cusketch.bounds, "_ilu_solve", _no_ilu_solve)
-        with pytest.raises(NonConvergenceError, match="could need 141840 B, over the") as exc:
-            asymptotic_error(200, 3, 1, "lb")
-        [(lo, hi)] = intervals
-        message = str(exc.value)
-        [width] = re.findall(r"interval is (\S+) wide > tol 1.0e-12 after BiCGSTAB;", message)
-        assert width == f"{hi - lo:.3e}" and hi - lo > 1e-12
-
-    def test_singular_factor_gives_the_wide_interval(self, monkeypatch, intervals):
-        def spilu(*args, **kwargs):
-            raise RuntimeError("Factor is exactly singular")
-
-        monkeypatch.setattr(scipy.sparse.linalg, "spilu", spilu)
-        with pytest.raises(NonConvergenceError, match="after ILU-preconditioned BiCGSTAB$"):
-            asymptotic_error(200, 3, 1, "lb")
-        kernel = build_kernel(enumerate_states(200, 3, 1), "lb")
-        assert intervals[-1] == (kernel.r.min(), kernel.r.max())
-
-    # Logged chains that plain BiCGSTAB leaves wide and ILU-preconditioned
-    # BiCGSTAB certifies, with the value each had before an ILU step first
-    # certified it: for the LB chains that BiCGSTAB breaks down
-    # or runs out of iterations on, power iteration from an ARPACK start; for
-    # the last three, whose recursive residual meets tol / 4 while the true
-    # one does not, BiCGSTAB restarted once from r - A h.
+    # Logged chains that plain BiCGSTAB leaves wide, with the value each had
+    # before ILU-preconditioned BiCGSTAB (the step the renewal preconditioner
+    # replaced) first certified it: for the LB chains that BiCGSTAB breaks
+    # down or runs out of iterations on, power iteration from an ARPACK
+    # start; for the (17,8,3), (20,4,3) and (20,11,4) chains, whose recursive
+    # residual meets tol / 4 while the true one does not, BiCGSTAB restarted
+    # once from r - A h. The renewal-preconditioned solve certifies each,
+    # and its interval holds the logged value.
     UNCERTIFIED = [
         (200, 3, 1, 0.0025625508887330852, "lb"),
         (100, 1, 2, 0.003474864311339029, "lb"),
@@ -406,30 +405,27 @@ class TestAsymptotic:
         (17, 8, 3, 0.20112351583230614, "ub"),
         (20, 4, 3, 0.09728362530670004, "ub"),
         (20, 11, 4, 0.22544910332076898, "lb"),
-    ]
-    UNCERTIFIED_SLOW = [
-        pytest.param(100, 1, 3, 0.0046047723480655148, "lb", marks=pytest.mark.slow),
-        pytest.param(100, 4, 3, 0.016623095020482297, "lb", marks=pytest.mark.slow),
+        (100, 1, 3, 0.0046047723480655148, "lb"),
+        (100, 4, 3, 0.016623095020482297, "lb"),
     ]
 
-    @pytest.mark.parametrize("m, d, g, old_value, variant", UNCERTIFIED + UNCERTIFIED_SLOW)
+    @pytest.mark.parametrize("m, d, g, old_value, variant", UNCERTIFIED)
     def test_ilu_bicgstab_certifies_the_logged_chains(
         self, monkeypatch, intervals, m, d, g, old_value, variant
     ):
-        calls = _solver_spy(monkeypatch)
+        solves = _solver_spy(monkeypatch)
         value = asymptotic_error(m, d, g, variant)
-        lo, hi = intervals[-1]
-        assert calls == [variant] and hi - lo <= 1e-12
+        [(lo, hi)] = intervals
+        assert solves == [(variant, True)] and hi - lo <= 1e-12
         assert value == (lo if variant == "lb" else hi)
         assert lo <= old_value <= hi
 
-    # The grid's edges among the chains that reach the ILU step, with the
-    # interval ILU-preconditioned GMRES certified: (100,5,1) LB is left the
-    # second widest of m in {30, 50, 100, 150, 200}, d <= 5, g <= 3, and
-    # (30,2,3) LB is the grid's smallest m to reach the step. Both intervals
-    # hold pi.r, so they must overlap; GMRES's reported bound, its low end,
-    # need not lie inside the new interval, and for (30,2,3) it lies 2.7e-14
-    # below it.
+    # The grid's edges among the chains that plain BiCGSTAB leaves wide, with
+    # the interval ILU-preconditioned GMRES certified: (100,5,1) LB was left
+    # the second widest of m in {30, 50, 100, 150, 200}, d <= 5, g <= 3, and
+    # (30,2,3) LB is the grid's smallest m to be left wide. Both intervals
+    # hold pi.r, so they must overlap, and GMRES's reported bound, its low
+    # end, lies inside the new interval.
     GMRES_INTERVALS = [
         (100, 5, 1, 0.009798983413658107, 0.00979898341365938),
         (30, 2, 3, 0.034208006293578425, 0.034208006293638835),
@@ -439,11 +435,11 @@ class TestAsymptotic:
     def test_ilu_step_meets_the_gmres_interval(
         self, monkeypatch, intervals, m, d, g, old_lo, old_hi
     ):
-        calls = _solver_spy(monkeypatch)
+        solves = _solver_spy(monkeypatch)
         value = asymptotic_error(m, d, g, "lb")
-        lo, hi = intervals[-1]
-        assert calls == ["lb"] and value == lo and hi - lo <= 1e-12
-        assert max(lo, old_lo) <= min(hi, old_hi)
+        [(lo, hi)] = intervals
+        assert solves == [("lb", True)] and value == lo and hi - lo <= 1e-12
+        assert max(lo, old_lo) <= min(hi, old_hi) and lo <= old_lo <= hi
 
     def test_two_state_limits(self):
         assert asymptotic_error(3, 2, 1, "lb") == pytest.approx(2 / 5, abs=1e-10)

@@ -203,24 +203,25 @@ class TestAsymptotic:
         )
         assert rc == EXIT_NO_CONVERGENCE
         # the message states the width, and nothing appends it again
-        pattern = r"is (\S+) wide > tol 1.0e-300 after ILU-preconditioned BiCGSTAB\n"
+        pattern = r"is (\S+) wide > tol 1.0e-300 after renewal-preconditioned BiCGSTAB\n"
         [width] = re.findall(pattern, err)
         assert err.count(width) == 1
 
-    def test_chain_over_the_ilu_state_cap_exits_without_the_step(self, capsys, monkeypatch):
-        # (200, 3, 1) LB, 198 states, is left wide by BiCGSTAB and reaches the ILU step
-        def ilu_solve(kernel, tol):
-            raise AssertionError("the long-run solve went on to the ILU step")
-
-        monkeypatch.setattr(cusketch.bounds, "ILU_MAX_STATES", 197)
-        monkeypatch.setattr(cusketch.bounds, "_ilu_solve", ilu_solve)
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "m, d, g", [(400, 2, 2), (1000, 2, 2), (150, 5, 3), (180, 3, 3), (200, 2, 3)]
+    )
+    def test_large_wide_lb_chains_certify(self, capsys, m, d, g):
+        # LB chains of 79,800 to 1,333,300 states that plain BiCGSTAB leaves
+        # wide, whose incomplete LU factors take 25 s to 20 minutes; the one
+        # preconditioned solve certifies each at tol 1e-12 within 10 s
+        start = time.perf_counter()
         rc, out, err = run(
-            capsys, "asymptotic", "--m", "200", "--d", "3", "--g", "1", "--variant", "lb"
+            capsys, "asymptotic", "--m", str(m), "--d", str(d), "--g", str(g), "--variant", "lb"
         )
-        assert rc == EXIT_NO_CONVERGENCE and out == ""
-        assert err.endswith(
-            "after BiCGSTAB; its 198 states are over the ILU step's cap of 197\n"
-        )
+        assert rc == EXIT_OK, err
+        assert time.perf_counter() - start <= 10
+        assert json.loads(out)["results"]["tol"] == "9.9999999999999998e-13"
 
     def test_internal_consistency_error_exit_code(self, capsys, monkeypatch):
         def long_run_value(kernel, tol):
@@ -552,10 +553,8 @@ class TestVerify:
             raise InternalConsistencyError("injected kernel fault")
 
         monkeypatch.setattr(cli_mod, "build_kernel", build_kernel)
-        # every solve gives up: BiCGSTAB certifies nothing, and no chain's
-        # ILU factor fits a budget of 0 bytes
+        # every solve gives up at once, so BiCGSTAB certifies nothing
         monkeypatch.setattr(cusketch.bounds, "MAX_KRYLOV_ITERS", 0)
-        monkeypatch.setattr(cusketch.bounds, "KERNEL_BYTES_GUARD", 0)
         rc, out, err = run(capsys, "verify", "--level", "full")
         assert rc == EXIT_VERIFY_FAILED
         lines = out.splitlines()
@@ -568,7 +567,7 @@ class TestVerify:
         assert lines[-1].startswith("verify full: 2 failure(s)")
         assert "kernel-soundness m<=8: injected kernel fault" in err
         assert "closed-form-vs-markov m<=20: the lb chain's long-run interval is" in err
-        assert "its ILU factor could need" in err
+        assert "after renewal-preconditioned BiCGSTAB" in err
 
     def test_unretargeted_ub_fails_the_oracle_check_where_the_cap_binds(self, capsys, monkeypatch):
         # UB's chain left as LB's agrees with CU wherever g = T, so only the
@@ -615,7 +614,6 @@ class TestClosedStdout:
 _SOLVER_IMPORT_PROBE = """
 import contextlib, io, json, sys
 from cusketch.cli import main
-sparse = ["scipy.sparse" in sys.modules]
 
 def run(argv):
     out = io.StringIO()
@@ -628,17 +626,14 @@ codes = [run(argv)[0] for argv in (
     "simulate --m 5 --d 2 --t 20 --runs 10 --seed 1",
     "verify --level quick",
 )]
-loaded = ["scipy.sparse.linalg" in sys.modules]
-sparse.append("scipy.sparse" in sys.modules)
 rc, out = run("asymptotic --m 200 --d 3 --g 1 --variant lb")
-loaded.append("scipy.sparse.linalg" in sys.modules)
-sparse.append("scipy.sparse" in sys.modules)
+loaded = [name for name in ("scipy.sparse", "scipy.sparse.linalg") if name in sys.modules]
 lower = json.loads(out)["results"]["lower"]
-print(json.dumps({"codes": codes + [rc], "loaded": loaded, "sparse": sparse, "lower": lower}))
+print(json.dumps({"codes": codes + [rc], "loaded": loaded, "lower": lower}))
 """
 
 
-def test_solver_stack_loads_only_on_the_fallback():
+def test_solver_stack_never_loads():
     src = str(Path(cusketch.cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -648,12 +643,8 @@ def test_solver_stack_loads_only_on_the_fallback():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["codes"] == [EXIT_OK] * 5
-    # BiCGSTAB certifies the first four commands; the (200, 3, 1) LB chain
-    # goes on to the ILU step
-    assert report["loaded"] == [False, True]
-    # the CSR routines come without `scipy.sparse`, which only the ILU step's
-    # read of P through `kernel.p` imports
-    assert report["sparse"] == [False, False, True]
-    # (ILU-preconditioned GMRES gave 0.0025625508887305998, inside the new
-    # interval, as `test_bounds` checks)
-    assert report["lower"] == "0.0025625508887296145"
+    # the CSR routines come without `scipy.sparse`, and every long-run value
+    # comes from the package's own BiCGSTAB, the (200, 3, 1) LB chain's too,
+    # which plain BiCGSTAB leaves 2.2e-3 wide
+    assert report["loaded"] == []
+    assert report["lower"] == "0.0025625508887314012"

@@ -316,6 +316,54 @@ class TestBuildKernel:
             del kernel, p
 
 
+class TestOffsetOrder:
+    """A long-run kernel labels its states in ascending total offset
+    off(k) = sum_l l k_l, and is the rank-order kernel under that permutation."""
+
+    @staticmethod
+    def _check(m, d, g):
+        space = enumerate_states(m, d, g)
+        n = len(space)
+        position, starts = space.offset_order
+        order = np.argsort(position)  # the rank of each label
+        assert position[0] == 0 and sorted(position) == list(range(n))
+        # levels of ascending off, ties in rank order; entries widened first,
+        # as l k_l passes int8's 127 at m = 50, g = 3
+        off = (space.states.astype(np.int64) @ np.arange(g + 1))[order]
+        level = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        assert starts[0] == 0 and starts[-1] == n
+        assert (np.diff(off[starts[:-1]]) > 0).all() and (off == off[starts[level]]).all()
+        assert (np.diff(order)[np.diff(level) == 0] > 0).all()
+        for variant in ("lb", "ub"):
+            by_rank = build_kernel(space, variant)
+            by_offset = build_kernel(space, variant, "offset")
+            assert by_offset.order == "offset" and by_offset.variant == variant
+            permuted = by_rank.p[order][:, order].tocsr()
+            permuted.sort_indices()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(permuted, name), getattr(by_offset, name)), name
+            assert by_offset.r.tobytes() == by_rank.r[order].tobytes()
+            # the renewal structure: every edge but a self-loop changes off
+            rows = np.repeat(np.arange(n), np.diff(by_offset.indptr))
+            cols = by_offset.indices
+            moves = cols != rows
+            assert (off[rows[moves]] != off[cols[moves]]).all(), (m, d, g, variant)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_matches_the_rank_order_kernel(self, m):
+        for d in range(1, m + 1):
+            for g in (1, 2, 3):
+                self._check(m, d, g)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_offsets_past_int8(self, g):
+        self._check(50, 4, g)
+
+    def test_unknown_order_is_refused(self):
+        with pytest.raises(ConfigurationError, match="order must be"):
+            build_kernel(enumerate_states(3, 2, 1), "lb", "lexicographic")
+
+
 class TestBuildChecks:
     """Each consistency check of the event pass trips on an injected fault,
     and so aborts both the build and the dump."""
